@@ -185,9 +185,12 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         header = ["k", "value"]
     else:
         table = solver.solve_all()
-        results = {"entries": len(table.entries), "table": table.json_map()}
-        rows = table.csv_rows()
         header = table.csv_header()
+        # Build only the payload the chosen format emits; each walks 2^N - 1 rows.
+        if args.format == "csv":
+            results, rows = {}, table.csv_rows()
+        else:
+            results, rows = {"entries": len(table.entries), "table": table.json_map()}, []
     if solver.zero_rate_subsets:
         results["zero_rate_subsets"] = [",".join(map(str, s.ids())) for s in solver.zero_rate_subsets]
     _emit(config, results, header, rows, args.format, args.out)
@@ -240,7 +243,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             raise NetworkConfigError("--mode timeavg requires --horizon")
         burn_in = args.burn_in
         if burn_in is None:
-            burn_in = 2.0 * max(simulate.pilot_t0(net, subset, seed=seed))
+            burn_in = simulate.default_burn_in(net, subset, seed=seed)
         config = RunConfig(command="simulate", network=args.network, subset=args.subset,
                            k=args.k, horizon=args.horizon, burn_in=burn_in,
                            mode=args.mode, seed=seed)

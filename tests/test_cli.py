@@ -10,6 +10,7 @@ import math
 import pytest
 
 from gossip_aoi import cli
+from gossip_aoi.moments import MomentTable
 from gossip_aoi.reporting import json_ready, render_csv, render_json
 
 LINE_DOC = (
@@ -64,6 +65,17 @@ def test_solve_without_subset_tabulates_everything(capsys, line_path):
     assert code == 0
     assert doc["results"]["entries"] == 3
     assert doc["results"]["table"]["1,2"] == [1.0]
+
+
+def test_solve_csv_table_skips_the_json_payload(capsys, line_path, monkeypatch):
+    def refuse(self):
+        raise AssertionError("json_map built for a CSV report")
+
+    monkeypatch.setattr(MomentTable, "json_map", refuse)
+    code = cli.main(["solve", "--network", line_path, "--k", "2", "--format", "csv"])
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out.split("\n", 1)[1])))
+    assert [row[0] for row in rows] == ["subset", "1", "2", "1,2"]
 
 
 def test_solve_rejects_source_in_subset(capsys, line_path):

@@ -67,6 +67,27 @@ def test_solve_all_enumerates_every_subset():
     assert len(table.entries) == 1023
 
 
+def test_solve_all_matches_memo_recursion_bitwise():
+    # Both evaluation orders do the same operations in the same order, so
+    # the dense table must equal the memo recursion exactly, inf entries and
+    # zero-rate diagnostics included (p = 0.12 leaves nodes unreachable).
+    rng = np.random.default_rng(26)
+    saw_inf = False
+    for trial in range(24):
+        n = 2 + trial % 9
+        k = 1 + trial % 5
+        net = random_network(rng, n, p=0.12 if trial % 3 == 0 else 0.45,
+                             reachable=trial % 3 == 2)
+        dense = MomentSolver(net, k)
+        table = dense.solve_all()
+        memo = MomentSolver(net, k)
+        for ids in all_subsets(n):
+            assert table.get(ids) == memo.solve(ids), (trial, ids)
+        assert dense.zero_rate_subsets == memo.zero_rate_subsets
+        saw_inf = saw_inf or bool(memo.zero_rate_subsets)
+    assert saw_inf
+
+
 def test_first_moment_recursion_matches_k1_row():
     rng = np.random.default_rng(22)
     for _ in range(10):
@@ -139,6 +160,10 @@ def test_memo_limit_is_enforced():
     net = line_network(1.0, 1.0, 1.0, 1.0)
     with pytest.raises(MemoLimitError, match="memo"):
         MomentSolver(net, 1, memo_limit=2).solve([4])
+    # the exhaustive table holds 2^4 - 1 = 15 subsets and checks before any work
+    with pytest.raises(MemoLimitError, match="exceeded 14 subsets"):
+        MomentSolver(net, 1, memo_limit=14).solve_all()
+    assert len(MomentSolver(net, 1, memo_limit=15).solve_all().entries) == 15
 
 
 def test_table_renders_infinities():
