@@ -8,12 +8,8 @@ CLI that cross-checks the routes against each other.
 
 from .fpp import (
     UnreachableTargetError,
-    WeightSample,
-    batch_distances,
     estimate_moments,
     estimate_moments_subsets,
-    first_passage_time,
-    sample_weights,
 )
 from .lattice import (
     LatticeBox,
@@ -80,11 +76,9 @@ __all__ = [
     "SimState",
     "TimeConstantEstimate",
     "UnreachableTargetError",
-    "WeightSample",
     "age_of",
     "age_power_integral",
     "as_subset",
-    "batch_distances",
     "boundary_edges",
     "box_recursion",
     "build_box",
@@ -96,7 +90,6 @@ __all__ = [
     "estimate_moments_timeavg",
     "expected_age",
     "first_moment",
-    "first_passage_time",
     "load_network",
     "mc_boundary_passage",
     "new_state",
@@ -104,7 +97,6 @@ __all__ = [
     "rate_into",
     "replication_results",
     "run_until",
-    "sample_weights",
     "solve_all",
     "solve_moments",
     "source_rate",

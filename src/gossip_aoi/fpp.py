@@ -7,17 +7,22 @@ subset.  Sampling passage times over many independent weight draws therefore
 estimates the same moments the exact solver computes — by a completely
 different route, which is what makes the two useful as checks on each other.
 
-Weights are drawn by inverse transform, w = -ln(U)/lambda_e with U uniform
-on (0, 1], so a weight is positive with probability one.
+Weights are drawn by inverse transform, w = -ln(1 - U)/lambda_e with U
+uniform on [0, 1), so a weight is finite and non-negative.
+
+A block of samples is relaxed node-major: weights are an (edges, samples)
+array and distances a (nodes, samples) array, so every arc update in
+``relax`` is a whole-row add and minimum over contiguous memory, with no
+gather.  The uniforms are still drawn in (samples, edges) row-major order,
+because that order fixes which RNG output lands on which (sample, edge)
+cell; ``exp_weights`` transposes them into the node-major buffer as it
+draws.  The lattice sampler uses the same two functions with unit rates.
 """
 
 from __future__ import annotations
 
-import heapq
-import math
-from dataclasses import dataclass
 from functools import partial
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -26,80 +31,70 @@ from .montecarlo import MomentEstimate
 from .network import GossipNetwork, NodeSubset
 
 
+# Samples drawn per rng.random call in exp_weights; any value gives the same
+# weights, since consecutive calls continue one stream.
+DRAW_ROWS = 256
+
+
 class UnreachableTargetError(RuntimeError):
     """Raised when sampled passage times are infinite (no path from the source)."""
 
 
-@dataclass
-class WeightSample:
-    """One frozen draw of per-edge passage weights, aligned with net.edges."""
+def exp_weights(rng: np.random.Generator, samples: int, rates: np.ndarray) -> np.ndarray:
+    """Exp(rate) weights as a C-contiguous (edges, samples) array.
 
-    weights: np.ndarray
-
-
-def sample_weights(net: GossipNetwork, rng: np.random.Generator) -> WeightSample:
-    """Draw independent Exp(lambda_e) weights for every edge."""
-    u = rng.random(len(net.edges))
-    return WeightSample(weights=-np.log1p(-u) / net.rates)
-
-
-def first_passage_time(
-    net: GossipNetwork, sample: WeightSample, subset: NodeSubset | Iterable[int]
-) -> float:
-    """Shortest weighted path time from the source to any subset member.
-
-    Dijkstra with a binary heap; equal keys pop in node-id order.  Stops as
-    soon as a subset member settles (the first one settled is the minimum).
-    Returns +inf when no member is reachable.
+    The uniforms come out of ``rng`` exactly as one (samples, edges)
+    row-major draw would, but DRAW_ROWS samples at a time, each chunk
+    transposed into its columns of the result; so no full-size draw is ever
+    alive beside the weights, and the transpose stays in cache.
     """
-    s = net.check_subset(subset)
-    if not s:
-        raise ValueError("subset must be non-empty")
-    weights = sample.weights
-    if len(weights) != len(net.edges):
-        raise ValueError(f"sample has {len(weights)} weights for {len(net.edges)} edges")
-    n = net.node_count
-    dist = [math.inf] * (n + 1)
-    dist[0] = 0.0
-    settled = [False] * (n + 1)
-    heap: list[tuple[float, int]] = [(0.0, 0)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if settled[u]:
-            continue
-        settled[u] = True
-        if u in s:
-            return d
-        for v, edge_index, _ in net.out_edges[u]:
-            nd = d + weights[edge_index]
-            if nd < dist[v]:
-                dist[v] = nd
-                heapq.heappush(heap, (nd, v))
-    return math.inf
+    edges = len(rates)
+    weights = np.empty((edges, samples))
+    for start in range(0, samples, DRAW_ROWS):
+        u = rng.random((min(DRAW_ROWS, samples - start), edges))
+        np.negative(u.T, out=weights[:, start : start + len(u)])
+    np.log1p(weights, out=weights)
+    np.negative(weights, out=weights)
+    weights /= rates[:, None]
+    return weights
 
 
-def batch_distances(net: GossipNetwork, weights: np.ndarray) -> np.ndarray:
-    """Source distances to every node for a (samples, edges) weight matrix.
+def relax(
+    in_arcs: Sequence[tuple[np.ndarray, np.ndarray]], weights: np.ndarray, origin: int
+) -> np.ndarray:
+    """Shortest-path distances from ``origin`` for every sample of a block.
 
-    Gauss-Seidel relaxation to fixpoint in canonical node order; the result
-    is bit-identical to per-sample Dijkstra, since both return the minimum
-    over paths of the same left-to-right floating prefix sums.
+    ``in_arcs[v]`` holds (from-nodes, edge indices) of the arcs into v;
+    ``weights`` is (edges, samples) and the result is (nodes, samples), +inf
+    where a node is unreachable.  Gauss-Seidel sweeps in node order until no
+    sample improves; the result is bit-identical to per-sample Dijkstra,
+    since both return the minimum over paths of the same left-to-right
+    floating prefix sums.
     """
-    samples = weights.shape[0]
-    n = net.node_count
-    dist = np.full((samples, n + 1), np.inf)
-    dist[:, 0] = 0.0
+    samples = weights.shape[1]
+    dist = np.full((len(in_arcs), samples), np.inf)
+    dist[origin] = 0.0
+    rows = list(dist)
+    wrows = list(weights)
+    arcs = []
+    for v, (frm, eidx) in enumerate(in_arcs):
+        pairs = [(rows[u], wrows[e]) for u, e in zip(frm.tolist(), eidx.tolist())]
+        if pairs:
+            arcs.append((rows[v], pairs[0], pairs[1:]))
+    best = np.empty(samples)
+    cand = np.empty(samples)
+    improved = np.empty(samples, dtype=bool)
     changed = True
     while changed:
         changed = False
-        for v in range(1, n + 1):
-            frm, eidx = net.in_arcs[v]
-            if frm.size == 0:
-                continue
-            best = (dist[:, frm] + weights[:, eidx]).min(axis=1)
-            upd = best < dist[:, v]
-            if upd.any():
-                dist[upd, v] = best[upd]
+        for row, (du, w), rest in arcs:
+            np.add(du, w, out=best)
+            for du, w in rest:
+                np.add(du, w, out=cand)
+                np.minimum(best, cand, out=best)
+            np.less(best, row, out=improved)
+            if improved.any():
+                np.minimum(row, best, out=row)
                 changed = True
     return dist
 
@@ -114,14 +109,11 @@ def _fpp_block(
 ) -> list[tuple[np.ndarray, np.ndarray, int]]:
     """Sample one weight block; per subset return (power sums, square sums,
     count of infinite passage times)."""
-    size = sizes[block]
     rng = montecarlo.block_rng(seed, montecarlo.STREAM_FPP, block)
-    u = rng.random((size, len(net.edges)))
-    weights = -np.log1p(-u) / net.rates
-    dist = batch_distances(net, weights)
+    dist = relax(net.in_arcs, exp_weights(rng, sizes[block], net.rates), 0)
     out = []
     for ids in subset_ids:
-        passage = dist[:, list(ids)].min(axis=1)
+        passage = dist[list(ids)].min(axis=0)
         bad = int(np.isinf(passage).sum())
         if bad:
             out.append((np.zeros(k_max), np.zeros(k_max), bad))
@@ -140,9 +132,7 @@ def estimate_moments_subsets(
     workers: int = 1,
 ) -> dict[NodeSubset, list[MomentEstimate]]:
     """Empirical passage-time moments for several subsets sharing one sample set."""
-    from .moments import _check_order
-
-    _check_order(k_max)
+    montecarlo.check_order(k_max)
     montecarlo.check_seed(seed)
     checked: list[NodeSubset] = []
     for subset in subsets:

@@ -14,19 +14,25 @@ from the unit rates) and otherwise grows the cluster by one vertex.
 
 The recursion enumerates clusters of interior vertices, so it is capped at
 boxes whose interior is small; the Monte-Carlo check in
-``mc_boundary_passage`` has no such cap.
+``mc_boundary_passage`` has no such cap.  It shares the first-passage
+sampler's kernel: ``fpp.exp_weights`` with unit rates gives a node-major
+(edges, samples) weight block, and ``fpp.relax`` sweeps it into a
+(vertices, samples) distance array with whole-row operations.  The uniforms
+behind the block are still drawn in (samples, edges) row-major order, since
+that order decides which RNG output becomes which (sample, edge) weight.
+Both directions of an edge share its weight row.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property, partial
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from . import montecarlo
+from .fpp import exp_weights, relax
 from .montecarlo import MomentEstimate
 
 RECURSION_CAP = 22
@@ -95,17 +101,21 @@ class LatticeBox:
         return tuple(out)
 
 
+def _ball(d: int, budget: int) -> Iterator[Vertex]:
+    """Integer points of Z^d with l1 norm <= budget, in lexicographic order."""
+    if d == 0:
+        yield ()
+        return
+    for c in range(-budget, budget + 1):
+        for rest in _ball(d - 1, budget - abs(c)):
+            yield (c,) + rest
+
+
 def build_box(d: int, ell: int) -> LatticeBox:
     """Construct the radius-ell box with canonical vertex and edge order."""
     if d < 1 or ell < 1:
         raise ValueError(f"need d >= 1 and ell >= 1, got d={d}, ell={ell}")
-    vertices = tuple(
-        sorted(
-            v
-            for v in itertools.product(range(-ell, ell + 1), repeat=d)
-            if sum(abs(c) for c in v) <= ell
-        )
-    )
+    vertices = tuple(_ball(d, ell))
     index = {v: i for i, v in enumerate(vertices)}
     edges = []
     for v in vertices:
@@ -200,27 +210,11 @@ def _lattice_block(
     box: LatticeBox, sizes: tuple[int, ...], seed: int, block: int
 ) -> tuple[float, float]:
     """One sample block: (sum of passage times, sum of their squares)."""
-    size = sizes[block]
     rng = montecarlo.block_rng(seed, montecarlo.STREAM_LATTICE, block)
-    u = rng.random((size, len(box.edges)))
-    weights = -np.log1p(-u)
-    n = len(box.vertices)
-    dist = np.full((size, n), np.inf)
-    dist[:, box.origin] = 0.0
-    changed = True
-    while changed:
-        changed = False
-        for v in range(n):
-            frm, eidx = box.in_arcs[v]
-            if frm.size == 0:
-                continue
-            best = (dist[:, frm] + weights[:, eidx]).min(axis=1)
-            upd = best < dist[:, v]
-            if upd.any():
-                dist[upd, v] = best[upd]
-                changed = True
+    weights = exp_weights(rng, sizes[block], np.ones(len(box.edges)))
+    dist = relax(box.in_arcs, weights, box.origin)
     boundary_cols = [i for i, b in enumerate(box.boundary) if b]
-    passage = dist[:, boundary_cols].min(axis=1)
+    passage = dist[boundary_cols].min(axis=0)
     return float(passage.sum()), float((passage * passage).sum())
 
 

@@ -32,9 +32,9 @@ from typing import Iterable
 
 import numpy as np
 
+from .montecarlo import check_order
 from .network import GossipNetwork, NodeSubset, as_subset
 
-MAX_MOMENT_ORDER = 20
 EXHAUSTIVE_CAP = 20          # solve_all enumerates 2^N - 1 subsets
 DEFAULT_MEMO_LIMIT = 1 << 21
 
@@ -45,14 +45,6 @@ class MemoLimitError(RuntimeError):
 
 def _memo_limit_error(limit: int) -> MemoLimitError:
     return MemoLimitError(f"memo table exceeded {limit} subsets; raise memo_limit to continue")
-
-
-def _check_order(k_max: int) -> int:
-    if not isinstance(k_max, int) or k_max < 1:
-        raise ValueError(f"moment order must be a positive integer, got {k_max!r}")
-    if k_max > MAX_MOMENT_ORDER:
-        raise ValueError(f"moment order {k_max} exceeds the supported maximum of {MAX_MOMENT_ORDER}")
-    return k_max
 
 
 @dataclass(frozen=True)
@@ -121,7 +113,7 @@ class MomentSolver:
 
     def __init__(self, net: GossipNetwork, k_max: int, memo_limit: int = DEFAULT_MEMO_LIMIT):
         self.net = net
-        self.k_max = _check_order(k_max)
+        self.k_max = check_order(k_max)
         self.memo_limit = memo_limit
         self._memo: dict[int, tuple[float, ...]] = {}
         self._zero_rate: set[int] = set()

@@ -29,6 +29,8 @@ FPP_BLOCK = 32768
 REPLICATION_BLOCK = 16384
 LATTICE_BLOCK = 32768
 
+MAX_MOMENT_ORDER = 20
+
 T = TypeVar("T")
 
 
@@ -51,6 +53,14 @@ def check_seed(seed: int) -> int:
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0 or seed >= 1 << 64:
         raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
     return seed
+
+
+def check_order(k_max: int) -> int:
+    if not isinstance(k_max, int) or k_max < 1:
+        raise ValueError(f"moment order must be a positive integer, got {k_max!r}")
+    if k_max > MAX_MOMENT_ORDER:
+        raise ValueError(f"moment order {k_max} exceeds the supported maximum of {MAX_MOMENT_ORDER}")
+    return k_max
 
 
 def block_sizes(total: int, block: int) -> list[int]:

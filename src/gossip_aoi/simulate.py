@@ -244,9 +244,7 @@ def replication_results(
     workers: int = 1,
 ) -> dict[NodeSubset, ReplicationResult]:
     """Replication estimates for several subsets sharing one set of replicas."""
-    from .moments import _check_order
-
-    _check_order(k_max)
+    montecarlo.check_order(k_max)
     montecarlo.check_seed(seed)
     checked = []
     for subset in subsets:
@@ -334,9 +332,7 @@ def estimate_moments_timeavg(
     equal windows.  A burn-in shorter than the trajectory's t_0 is flagged
     with a warning.  Pass a list as ``trace`` to capture every event.
     """
-    from .moments import _check_order
-
-    _check_order(k_max)
+    montecarlo.check_order(k_max)
     montecarlo.check_seed(seed)
     s = net.check_subset(subset)
     if not s:

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import heapq
 import math
-from typing import Iterable
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from gossip_aoi import Edge, GossipNetwork
+from gossip_aoi import Edge, GossipNetwork, NodeSubset
 
 RATE_LOW = 0.2
 RATE_HIGH = 5.0
@@ -91,3 +93,74 @@ def brute_force_passage(
     if not paths:
         return math.inf
     return min(path_time(weights, path) for path in paths)
+
+
+@dataclass
+class WeightSample:
+    """One frozen draw of per-edge passage weights, aligned with net.edges."""
+
+    weights: np.ndarray
+
+
+def sample_weights(net: GossipNetwork, rng: np.random.Generator) -> WeightSample:
+    """Draw independent Exp(lambda_e) weights for every edge."""
+    u = rng.random(len(net.edges))
+    return WeightSample(weights=-np.log1p(-u) / net.rates)
+
+
+def first_passage_time(
+    net: GossipNetwork, sample: WeightSample, subset: NodeSubset | Iterable[int]
+) -> float:
+    """Shortest weighted path time from the source to any subset member.
+
+    Dijkstra with a binary heap; equal keys pop in node-id order.  Stops as
+    soon as a subset member settles (the first one settled is the minimum).
+    Returns +inf when no member is reachable.
+    """
+    s = net.check_subset(subset)
+    if not s:
+        raise ValueError("subset must be non-empty")
+    weights = sample.weights
+    if len(weights) != len(net.edges):
+        raise ValueError(f"sample has {len(weights)} weights for {len(net.edges)} edges")
+    n = net.node_count
+    dist = [math.inf] * (n + 1)
+    dist[0] = 0.0
+    settled = [False] * (n + 1)
+    heap: list[tuple[float, int]] = [(0.0, 0)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if settled[u]:
+            continue
+        settled[u] = True
+        if u in s:
+            return d
+        for v, edge_index, _ in net.out_edges[u]:
+            nd = d + weights[edge_index]
+            if nd < dist[v]:
+                dist[v] = nd
+                heapq.heappush(heap, (nd, v))
+    return math.inf
+
+
+def sample_major_distances(
+    in_arcs: Sequence[tuple[np.ndarray, np.ndarray]], weights: np.ndarray, origin: int
+) -> np.ndarray:
+    """Reference relaxation on a (samples, edges) weight matrix, giving
+    (samples, nodes) distances: Gauss-Seidel sweeps in node order, each
+    node update gathering its in-arc columns."""
+    samples = weights.shape[0]
+    dist = np.full((samples, len(in_arcs)), np.inf)
+    dist[:, origin] = 0.0
+    changed = True
+    while changed:
+        changed = False
+        for v, (frm, eidx) in enumerate(in_arcs):
+            if frm.size == 0:
+                continue
+            best = (dist[:, frm] + weights[:, eidx]).min(axis=1)
+            upd = best < dist[:, v]
+            if upd.any():
+                dist[upd, v] = best[upd]
+                changed = True
+    return dist

@@ -11,14 +11,22 @@ from gossip_aoi import (
     Edge,
     GossipNetwork,
     UnreachableTargetError,
-    WeightSample,
-    batch_distances,
+    build_box,
     estimate_moments,
-    first_passage_time,
-    sample_weights,
     solve_moments,
 )
-from helpers import all_subsets, brute_force_passage, line_network, random_network, star_network
+from gossip_aoi.fpp import exp_weights, relax
+from helpers import (
+    WeightSample,
+    all_subsets,
+    brute_force_passage,
+    first_passage_time,
+    line_network,
+    random_network,
+    sample_major_distances,
+    sample_weights,
+    star_network,
+)
 
 
 def test_sample_weights_follow_the_edge_rate():
@@ -138,7 +146,7 @@ def test_batch_distances_equal_scalar_shortest_paths():
         n = int(rng.integers(2, 7))
         net = random_network(rng, n, p=0.4)
         weights = np.array([sample_weights(net, rng).weights for _ in range(50)])
-        dist = batch_distances(net, weights)
+        dist = relax(net.in_arcs, weights.T.copy(), 0).T
         for i in range(len(weights)):
             sample = WeightSample(weights[i])
             for v in range(1, n + 1):
@@ -154,3 +162,46 @@ def test_sampler_agrees_with_the_solver_on_a_random_network():
         for k in (1, 2, 3):
             est = estimates[k - 1]
             assert abs(est.mean - exact[k]) <= 4 * est.std_error
+
+
+def _row_major_weights(rng, samples, rates):
+    return -np.log1p(-rng.random((samples, len(rates)))) / rates
+
+
+def _assert_relax_matches_reference(in_arcs, weights, origin):
+    expected = sample_major_distances(in_arcs, weights, origin)
+    dist = relax(in_arcs, np.ascontiguousarray(weights.T), origin)
+    assert dist.shape == (len(in_arcs), len(weights))
+    assert dist.flags.c_contiguous
+    assert np.array_equal(dist, expected.T)
+    return dist
+
+
+def test_relax_equals_the_sample_major_reference_on_random_networks():
+    rng = np.random.default_rng(39)
+    unreachable_rows = 0
+    for _ in range(12):
+        net = random_network(rng, int(rng.integers(2, 10)), p=0.25)
+        for samples in (1, 257):
+            weights = _row_major_weights(rng, samples, net.rates)
+            dist = _assert_relax_matches_reference(net.in_arcs, weights, 0)
+            unreachable_rows += int(np.isinf(dist).all(axis=1).sum())
+    assert unreachable_rows > 0
+
+
+def test_relax_equals_the_sample_major_reference_on_lattice_boxes():
+    rng = np.random.default_rng(40)
+    for d, ell in ((1, 3), (2, 2), (3, 2), (4, 2)):
+        box = build_box(d, ell)
+        for samples in (1, 257):
+            weights = _row_major_weights(rng, samples, np.ones(len(box.edges)))
+            _assert_relax_matches_reference(box.in_arcs, weights, box.origin)
+
+
+def test_exp_weights_is_the_transposed_row_major_draw():
+    net = random_network(np.random.default_rng(42), 5, p=0.5)
+    for samples in (1, 7, 1000):
+        weights = exp_weights(np.random.default_rng([43, samples]), samples, net.rates)
+        expected = _row_major_weights(np.random.default_rng([43, samples]), samples, net.rates)
+        assert weights.flags.c_contiguous
+        assert np.array_equal(weights, expected.T)

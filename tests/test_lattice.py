@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -29,6 +30,14 @@ def test_build_box_small_cases():
     wide = build_box(2, 2)
     assert len(wide.vertices) == 13
     assert len(wide.interior) == 5
+
+
+def test_build_box_vertices_equal_the_filtered_cube():
+    for d in range(1, 6):
+        for ell in range(1, 4):
+            cube = itertools.product(range(-ell, ell + 1), repeat=d)
+            expected = tuple(sorted(v for v in cube if sum(abs(c) for c in v) <= ell))
+            assert build_box(d, ell).vertices == expected
 
 
 def test_interior_vertices_have_full_degree():

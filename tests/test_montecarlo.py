@@ -10,6 +10,7 @@ import pytest
 from gossip_aoi.montecarlo import (
     block_rng,
     block_sizes,
+    check_order,
     check_seed,
     map_blocks,
     moments_from_power_sums,
@@ -38,6 +39,16 @@ def test_check_seed_rejects_non_integers():
     for bad in (1.5, "x", True, -1):
         with pytest.raises(ValueError):
             check_seed(bad)
+
+
+def test_check_order_bounds_the_moment_order():
+    assert check_order(1) == 1
+    assert check_order(20) == 20
+    for bad in (0, 1.5, "3"):
+        with pytest.raises(ValueError, match="moment order must be a positive integer"):
+            check_order(bad)
+    with pytest.raises(ValueError, match="moment order 21 exceeds the supported maximum of 20"):
+        check_order(21)
 
 
 def _square(block: int) -> int:
