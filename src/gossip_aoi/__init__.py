@@ -24,7 +24,6 @@ from .moments import (
     MomentSolver,
     MomentTable,
     expected_age,
-    first_moment,
     solve_all,
     solve_moments,
 )
@@ -35,10 +34,7 @@ from .network import (
     NetworkConfigError,
     NodeSubset,
     as_subset,
-    boundary_edges,
     load_network,
-    rate_into,
-    source_rate,
 )
 from .simulate import (
     PendingReplicasError,
@@ -79,7 +75,6 @@ __all__ = [
     "age_of",
     "age_power_integral",
     "as_subset",
-    "boundary_edges",
     "box_recursion",
     "build_box",
     "default_burn_in",
@@ -89,17 +84,14 @@ __all__ = [
     "estimate_moments_subsets",
     "estimate_moments_timeavg",
     "expected_age",
-    "first_moment",
     "load_network",
     "mc_boundary_passage",
     "new_state",
     "pilot_t0",
-    "rate_into",
     "replication_results",
     "run_until",
     "solve_all",
     "solve_moments",
-    "source_rate",
     "step",
     "time_constant_estimate",
 ]

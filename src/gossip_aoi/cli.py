@@ -161,12 +161,6 @@ def _load(path: str) -> GossipNetwork:
     return load_network(text)
 
 
-def _resolve_horizon(net: GossipNetwork, subset, horizon: float | None, seed: int) -> float:
-    if horizon is not None:
-        return horizon
-    return 3.0 * max(simulate.pilot_t0(net, subset, seed=seed))
-
-
 # ---- command handlers -------------------------------------------------------
 
 
@@ -219,17 +213,15 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.mode == "replication":
         if args.trace is not None:
             raise NetworkConfigError("--trace requires --mode timeavg (a single trajectory)")
-        horizon = _resolve_horizon(net, subset, args.horizon, seed)
+        horizon = args.horizon
+        if horizon is None:
+            horizon = simulate.default_horizon(net, subset, seed=seed)
         config = RunConfig(command="simulate", network=args.network, subset=args.subset,
                            k=args.k, replicas=args.replicas, horizon=horizon,
                            mode=args.mode, seed=seed)
         result = simulate.replication_results(net, [subset], args.k, args.replicas,
                                               horizon, seed=seed, workers=args.workers)[subset]
-        if result.pending > simulate.PENDING_TOLERANCE * args.replicas:
-            raise simulate.PendingReplicasError(
-                f"{result.pending} of {args.replicas} replicas never fully informed "
-                f"subset {subset} by horizon {horizon}; raise --horizon"
-            )
+        simulate.check_pending(result, subset, horizon)
         estimates = list(result.estimates)
         results = {
             "subset": list(subset.ids()),
@@ -295,7 +287,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     net = _load(args.network)
     seed = check_seed(args.seed)
     subset = net.check_subset(args.subset)
-    horizon = _resolve_horizon(net, subset, args.horizon, seed)
+    horizon = args.horizon
+    if horizon is None:
+        horizon = simulate.default_horizon(net, subset, seed=seed)
     config = RunConfig(command="compare", network=args.network, subset=args.subset,
                        k=args.k, samples=args.samples, replicas=args.replicas,
                        horizon=horizon, se_threshold=args.se_threshold, seed=seed)

@@ -16,11 +16,13 @@ The recursion only ever visits strict supersets, so it can be evaluated in
 either direction.  ``MomentSolver.solve`` answers one subset by memoized
 recursion over subset bitmasks, which terminates at the full node set and
 touches only the supersets it needs (any network up to 62 nodes).
-``MomentSolver.solve_all`` fills the whole table bottom-up: a dense array over
+``MomentSolver.dense`` fills the whole table bottom-up: a dense array over
 all 2^N subsets, one popcount layer at a time from the full set down to the
-singletons.  Both perform the same floating-point operations in the same
-order (boundary edges in canonical edge order, accumulated left to right from
-0.0), so they agree bit for bit.
+singletons; ``solve_all`` wraps that array into a ``MomentTable``, and
+``lattice.box_recursion`` reads its box values from it.  Both directions
+perform the same floating-point operations in the same order (boundary edges
+in canonical edge order, accumulated left to right from 0.0), so they agree
+bit for bit.
 """
 
 from __future__ import annotations
@@ -105,10 +107,10 @@ class MomentSolver:
     """Evaluator of the subset moment recursion for one network.
 
     One solver instance owns a memo of per-subset moment vectors up to
-    ``k_max`` for :meth:`solve`; :meth:`solve_all` fills the full table with
-    a dense layer-by-layer pass instead.  Subsets found to have zero total
-    source rate (the +inf bottom cases) are collected in
-    :attr:`zero_rate_subsets` as a diagnostic by either method.
+    ``k_max`` for :meth:`solve`; :meth:`dense` (and :meth:`solve_all`, which
+    wraps it) fills the full table with a layer-by-layer pass instead.
+    Subsets found to have zero total source rate (the +inf bottom cases) are
+    collected in :attr:`zero_rate_subsets` as a diagnostic by either method.
     """
 
     def __init__(self, net: GossipNetwork, k_max: int, memo_limit: int = DEFAULT_MEMO_LIMIT):
@@ -135,18 +137,26 @@ class MomentSolver:
         return self._vector(s.mask)
 
     def solve_all(self) -> MomentTable:
-        """Moment vectors for every non-empty subset (node count capped).
-
-        Bottom-up over popcount layers, from the full set down to the
-        singletons, in one (2^N, k_max + 1) array whose row ``mask >> 1``
-        holds subset ``mask``; every superset a layer reads lies in the layer
-        above.  Working memory is about (k_max + 1) * 8 * 2^N bytes.
-        """
+        """Moment vectors for every non-empty subset (node count capped)."""
         n = self.net.node_count
         if n > EXHAUSTIVE_CAP:
             raise ValueError(
                 f"exhaustive solve is capped at {EXHAUSTIVE_CAP} nodes, network has {n}"
             )
+        table = self.dense()
+        columns = [table[1:, k].tolist() for k in range(1, self.k_max + 1)]
+        entries = dict(zip(range(2, len(table) << 1, 2), zip(itertools.repeat(1.0), *columns)))
+        return MomentTable(k_max=self.k_max, entries=entries)
+
+    def dense(self) -> np.ndarray:
+        """Moment vectors of all 2^N subsets as one (2^N, k_max + 1) array.
+
+        Row ``mask >> 1`` holds subset ``mask``; row 0, the empty set, is
+        left unfilled.  Bottom-up over popcount layers, from the full set
+        down to the singletons; every superset a layer reads lies in the
+        layer above.  Working memory is about (k_max + 1) * 8 * 2^N bytes.
+        """
+        n = self.net.node_count
         size = 1 << n
         if size - 1 > self.memo_limit:
             raise _memo_limit_error(self.memo_limit)
@@ -180,9 +190,7 @@ class MomentSolver:
                 for k in range(1, self.k_max + 1):
                     vec[:, k] = (k * vec[:, k - 1] + pushed[:, k]) / denom
             table[layer] = vec
-        columns = [table[1:, k].tolist() for k in range(1, self.k_max + 1)]
-        entries = dict(zip(range(2, size << 1, 2), zip(itertools.repeat(1.0), *columns)))
-        return MomentTable(k_max=self.k_max, entries=entries)
+        return table
 
     def _vector(self, mask: int) -> tuple[float, ...]:
         cached = self._memo.get(mask)
@@ -247,47 +255,3 @@ def expected_age(net: GossipNetwork, subset: NodeSubset | Iterable[int]) -> floa
     """Steady-state expected minimum age over the subset."""
     return solve_moments(net, subset, 1)[1]
 
-
-def first_moment(
-    net: GossipNetwork,
-    subset: NodeSubset | Iterable[int],
-    memo: dict[int, float] | None = None,
-) -> float:
-    """First moment by the dedicated first-moment recursion.
-
-    Implements v_S = (1 + sum_e lambda_e * v_(S+e)) / (lambda_0(S) + sum_e lambda_e)
-    directly, independent of the general solver; kept as a cross-check for
-    its k = 1 row.  Pass a shared ``memo`` dict to amortize repeated queries
-    against one network.
-    """
-    s = net.check_subset(subset)
-    if not s:
-        raise ValueError("subset must be non-empty")
-    if memo is None:
-        memo = {}
-    source_edges = [(1 << v, rate) for u, v, rate in net.edges if u == 0]
-    inner_edges = [(1 << u, 1 << v, rate) for u, v, rate in net.edges if u != 0]
-
-    def value(mask: int) -> float:
-        cached = memo.get(mask)
-        if cached is not None:
-            return cached
-        lam0 = 0.0
-        for v_bit, rate in source_edges:
-            if mask & v_bit:
-                lam0 += rate
-        boundary = [
-            (rate, mask | u_bit)
-            for u_bit, v_bit, rate in inner_edges
-            if mask & v_bit and not mask & u_bit
-        ]
-        if not boundary:
-            result = 1.0 / lam0 if lam0 > 0.0 else math.inf
-        else:
-            pushed = sum(rate * value(sup_mask) for rate, sup_mask in boundary)
-            denom = lam0 + sum(rate for rate, _ in boundary)
-            result = (1.0 + pushed) / denom
-        memo[mask] = result
-        return result
-
-    return value(s.mask)

@@ -202,24 +202,3 @@ def load_network(document: str) -> GossipNetwork:
         edges.append(Edge(u, v, float(rate)))
     return GossipNetwork(node_count=nodes, edges=tuple(edges))
 
-
-def rate_into(net: GossipNetwork, node: int, subset: NodeSubset | Iterable[int]) -> float:
-    """Total rate at which ``node`` updates the subset: sum of lambda_{node,v}
-    over members v, and 0 by convention when ``node`` itself is a member."""
-    s = net.check_subset(subset)
-    if node in s:
-        return 0.0
-    return sum(rate for v, _, rate in net.out_edges[node] if v in s)
-
-
-def boundary_edges(net: GossipNetwork, subset: NodeSubset | Iterable[int]) -> list[Edge]:
-    """Edges that carry fresh information into the subset from non-source
-    outside nodes: (u, v) with v a member, u neither a member nor the source.
-    Returned in the canonical (from, to) order."""
-    s = net.check_subset(subset)
-    return [e for e in net.edges if e.to_node in s and e.from_node != 0 and e.from_node not in s]
-
-
-def source_rate(net: GossipNetwork, subset: NodeSubset | Iterable[int]) -> float:
-    """Total rate of direct source edges into the subset."""
-    return rate_into(net, 0, subset)

@@ -170,6 +170,11 @@ def default_burn_in(net: GossipNetwork, subset: NodeSubset | Iterable[int], seed
     return 2.0 * max(pilot_t0(net, subset, seed=seed))
 
 
+def default_horizon(net: GossipNetwork, subset: NodeSubset | Iterable[int], seed: int = 0) -> float:
+    """Three times the worst pilot t_0 — the default replication horizon."""
+    return 3.0 * max(pilot_t0(net, subset, seed=seed))
+
+
 # ---- replication estimator ------------------------------------------------
 
 
@@ -282,6 +287,16 @@ def replication_results(
     return results
 
 
+def check_pending(result: ReplicationResult, subset: NodeSubset, horizon: float) -> None:
+    """Raise when more than ``PENDING_TOLERANCE`` of the replicas never fully
+    informed the subset by the horizon."""
+    if result.pending > PENDING_TOLERANCE * result.replicas:
+        raise PendingReplicasError(
+            f"{result.pending} of {result.replicas} replicas never fully informed subset "
+            f"{subset} by horizon {horizon}; raise the horizon"
+        )
+
+
 def estimate_moments_replication(
     net: GossipNetwork,
     subset: NodeSubset | Iterable[int],
@@ -299,11 +314,7 @@ def estimate_moments_replication(
     """
     s = net.check_subset(subset)
     result = replication_results(net, [s], k_max, replicas, horizon, seed, workers)[s]
-    if result.pending > PENDING_TOLERANCE * replicas:
-        raise PendingReplicasError(
-            f"{result.pending} of {replicas} replicas never fully informed subset {s} "
-            f"by horizon {horizon}; raise the horizon"
-        )
+    check_pending(result, s, horizon)
     return list(result.estimates)
 
 

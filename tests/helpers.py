@@ -9,7 +9,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from gossip_aoi import Edge, GossipNetwork, NodeSubset
+from gossip_aoi import Edge, GossipNetwork, LatticeBox, NodeSubset
+from gossip_aoi.lattice import RECURSION_CAP, Vertex
 
 RATE_LOW = 0.2
 RATE_HIGH = 5.0
@@ -164,3 +165,148 @@ def sample_major_distances(
                 dist[upd, v] = best[upd]
                 changed = True
     return dist
+
+
+def rate_into(net: GossipNetwork, node: int, subset: NodeSubset | Iterable[int]) -> float:
+    """Total rate at which ``node`` updates the subset: sum of lambda_{node,v}
+    over members v, and 0 by convention when ``node`` itself is a member."""
+    s = net.check_subset(subset)
+    if node in s:
+        return 0.0
+    return sum(rate for v, _, rate in net.out_edges[node] if v in s)
+
+
+def boundary_edges(net: GossipNetwork, subset: NodeSubset | Iterable[int]) -> list[Edge]:
+    """Edges that carry fresh information into the subset from non-source
+    outside nodes: (u, v) with v a member, u neither a member nor the source.
+    Returned in the canonical (from, to) order."""
+    s = net.check_subset(subset)
+    return [e for e in net.edges if e.to_node in s and e.from_node != 0 and e.from_node not in s]
+
+
+def source_rate(net: GossipNetwork, subset: NodeSubset | Iterable[int]) -> float:
+    """Total rate of direct source edges into the subset."""
+    return rate_into(net, 0, subset)
+
+
+def first_moment(
+    net: GossipNetwork,
+    subset: NodeSubset | Iterable[int],
+    memo: dict[int, float] | None = None,
+) -> float:
+    """First moment by the dedicated first-moment recursion.
+
+    Implements v_S = (1 + sum_e lambda_e * v_(S+e)) / (lambda_0(S) + sum_e lambda_e)
+    directly, independent of the general solver; kept as a cross-check for
+    its k = 1 row.  Pass a shared ``memo`` dict to amortize repeated queries
+    against one network.
+    """
+    s = net.check_subset(subset)
+    if not s:
+        raise ValueError("subset must be non-empty")
+    if memo is None:
+        memo = {}
+    source_edges = [(1 << v, rate) for u, v, rate in net.edges if u == 0]
+    inner_edges = [(1 << u, 1 << v, rate) for u, v, rate in net.edges if u != 0]
+
+    def value(mask: int) -> float:
+        cached = memo.get(mask)
+        if cached is not None:
+            return cached
+        lam0 = 0.0
+        for v_bit, rate in source_edges:
+            if mask & v_bit:
+                lam0 += rate
+        boundary = [
+            (rate, mask | u_bit)
+            for u_bit, v_bit, rate in inner_edges
+            if mask & v_bit and not mask & u_bit
+        ]
+        if not boundary:
+            result = 1.0 / lam0 if lam0 > 0.0 else math.inf
+        else:
+            pushed = sum(rate * value(sup_mask) for rate, sup_mask in boundary)
+            denom = lam0 + sum(rate for rate, _ in boundary)
+            result = (1.0 + pushed) / denom
+        memo[mask] = result
+        return result
+
+    return value(s.mask)
+
+
+def cluster_arcs(box: LatticeBox) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Per interior position: (interior positions of its interior
+    neighbours, count of its boundary neighbours)."""
+    pos = {v: p for p, v in enumerate(box.interior)}
+    out = []
+    for i in box.interior:
+        interior_nbs = []
+        boundary_deg = 0
+        frm, _ = box.in_arcs[i]
+        for j in frm.tolist():
+            if box.boundary[j]:
+                boundary_deg += 1
+            else:
+                interior_nbs.append(pos[j])
+        out.append((tuple(interior_nbs), boundary_deg))
+    return tuple(out)
+
+
+def reference_box_recursion(box: LatticeBox, cluster: Iterable[Vertex]) -> float:
+    """Expected Exp(1) passage time from the cluster to the box boundary.
+
+    Memoized over clusters of interior vertices; returns 0 when the cluster
+    already touches the boundary.  The direct lattice recursion, kept as the
+    reference for ``box_recursion``.
+    """
+    seed_positions = []
+    pos = {v: p for p, v in enumerate(box.interior)}
+    members = list(cluster)
+    if not members:
+        raise ValueError("cluster must be non-empty")
+    for v in members:
+        v = tuple(int(c) for c in v)
+        idx = box.index.get(v)
+        if idx is None:
+            raise ValueError(f"vertex {v} lies outside the box (d={box.d}, ell={box.ell})")
+        if box.boundary[idx]:
+            return 0.0
+        seed_positions.append(pos[idx])
+    if len(box.interior) > RECURSION_CAP:
+        raise ValueError(
+            f"interior has {len(box.interior)} vertices, above the recursion cap of "
+            f"{RECURSION_CAP}; use mc_boundary_passage instead"
+        )
+
+    arcs = cluster_arcs(box)
+    memo: dict[int, float] = {}
+
+    def value(mask: int) -> float:
+        cached = memo.get(mask)
+        if cached is not None:
+            return cached
+        edge_count = 0
+        grown: list[int] = []
+        p = 0
+        m = mask
+        while m:
+            if m & 1:
+                interior_nbs, boundary_deg = arcs[p]
+                edge_count += boundary_deg
+                for q in interior_nbs:
+                    if not mask >> q & 1:
+                        edge_count += 1
+                        grown.append(mask | (1 << q))
+            m >>= 1
+            p += 1
+        total = 1.0
+        for sup_mask in grown:
+            total += value(sup_mask)
+        result = total / edge_count
+        memo[mask] = result
+        return result
+
+    start = 0
+    for p in seed_positions:
+        start |= 1 << p
+    return value(start)

@@ -21,7 +21,6 @@ from gossip_aoi import (
     build_box,
     cli,
     estimate_moments_subsets,
-    first_moment,
     mc_boundary_passage,
     new_state,
     pilot_t0,
@@ -29,7 +28,7 @@ from gossip_aoi import (
     solve_moments,
     step,
 )
-from helpers import all_subsets, line_network, random_network, star_network
+from helpers import all_subsets, first_moment, line_network, random_network, star_network
 
 
 def verdict(number: int, label: str, failures: list[str], started: float, limit: float) -> None:
@@ -159,7 +158,8 @@ def test_criterion_4_structural_properties():
                 if not math.isinf(v[k - 1]) and v[k] * v[k - 2] < v[k - 1] ** 2 * (1 - 1e-12):
                     failures.append(f"trial {trial}: Jensen chain broken at {ids} k={k}")
 
-    from gossip_aoi import NodeSubset, boundary_edges, rate_into
+    from gossip_aoi import NodeSubset
+    from helpers import boundary_edges, rate_into
 
     for trial in range(12):
         n = int(rng.integers(2, 9))

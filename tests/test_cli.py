@@ -9,7 +9,7 @@ import math
 
 import pytest
 
-from gossip_aoi import cli
+from gossip_aoi import cli, simulate
 from gossip_aoi.moments import MomentTable
 from gossip_aoi.reporting import json_ready, render_csv, render_json
 
@@ -109,6 +109,22 @@ def test_simulate_replication_reports_pending(capsys, line_path):
     assert doc["results"]["pending"] == 0
     est = doc["results"]["estimates"][0]
     assert abs(est["mean"] - 1.5) <= 4 * est["std_error"]
+
+
+def test_simulate_replication_default_horizon_is_the_library_rule(capsys, line_path):
+    code, doc = run_json(capsys, ["simulate", "--network", line_path, "--subset", "2",
+                                  "--replicas", "2000", "--seed", "7"])
+    assert code == 0
+    net = cli._load(line_path)
+    assert doc["config"]["horizon"] == simulate.default_horizon(net, [2], seed=7)
+
+
+def test_simulate_replication_pending_error_is_the_library_text(capsys, line_path):
+    code = cli.main(["simulate", "--network", line_path, "--subset", "2",
+                     "--replicas", "2000", "--horizon", "0.5", "--seed", "7"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "replicas never fully informed subset {2} by horizon 0.5; raise the horizon" in err
 
 
 def test_simulate_timeavg_requires_horizon(capsys, line_path):

@@ -15,6 +15,8 @@ from gossip_aoi import (
     mc_boundary_passage,
     time_constant_estimate,
 )
+from gossip_aoi.lattice import RECURSION_CAP
+from helpers import reference_box_recursion
 
 
 def test_build_box_small_cases():
@@ -95,6 +97,51 @@ def test_recursion_respects_lattice_symmetries():
 def test_recursion_cap_is_enforced():
     with pytest.raises(ValueError, match="cap"):
         box_recursion(build_box(2, 4), [(0, 0)])
+
+
+def test_box_network_maps_boundary_edges_to_source_rates():
+    # The radius-2 diamond: the origin and its four neighbours are interior,
+    # and each neighbour has three boundary neighbours.
+    box = build_box(2, 2)
+    net = box.network
+    node = {box.vertices[i]: p + 1 for p, i in enumerate(box.interior)}
+    hub = node.pop((0, 0))
+    spokes = set(node.values())
+    assert net.node_count == 5
+    assert {(u, v): rate for u, v, rate in net.edges} == {
+        **{(0, v): 3.0 for v in spokes},
+        **{(hub, v): 1.0 for v in spokes},
+        **{(v, hub): 1.0 for v in spokes},
+    }
+
+
+def _equivalence_clusters(box):
+    d, ell = box.d, box.ell
+    origin = (0,) * d
+    units = [tuple(s * (a == axis) for a in range(d)) for axis in range(d) for s in (1, -1)]
+    half = [box.vertices[i] for i in box.interior if box.vertices[i][0] >= 0]
+    yield [origin]
+    for unit in units:
+        yield [origin, unit]
+    yield half
+    yield [units[0], units[1]]
+    yield [origin, (ell,) + (0,) * (d - 1)]
+
+
+def test_box_recursion_equals_the_reference_recursion():
+    for d in range(1, 5):
+        for ell in range(1, 4):
+            box = build_box(d, ell)
+            if len(box.interior) > RECURSION_CAP:
+                continue
+            for cluster in _equivalence_clusters(box):
+                expected = reference_box_recursion(box, cluster)
+                assert box_recursion(box, cluster) == pytest.approx(expected, rel=1e-13), (
+                    d, ell, cluster)
+    largest = build_box(1, 11)
+    assert len(largest.interior) == 21
+    assert box_recursion(largest, [(0,)]) == pytest.approx(
+        reference_box_recursion(largest, [(0,)]), rel=1e-13)
 
 
 def test_raw_values_grow_with_the_radius():

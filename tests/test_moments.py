@@ -13,11 +13,10 @@ from gossip_aoi import (
     MemoLimitError,
     MomentSolver,
     expected_age,
-    first_moment,
     solve_all,
     solve_moments,
 )
-from helpers import all_subsets, line_network, random_network, star_network
+from helpers import all_subsets, first_moment, line_network, random_network, star_network
 
 
 def test_line_network_first_two_moments():

@@ -12,12 +12,16 @@ from gossip_aoi import (
     GossipNetwork,
     NetworkConfigError,
     NodeSubset,
-    boundary_edges,
     load_network,
+)
+from helpers import (
+    all_subsets,
+    boundary_edges,
+    line_network,
+    random_network,
     rate_into,
     source_rate,
 )
-from helpers import all_subsets, line_network, random_network
 
 
 def test_load_network_line():

@@ -12,6 +12,7 @@ from gossip_aoi import (
     Edge,
     GossipNetwork,
     PendingReplicasError,
+    ReplicationResult,
     SimState,
     age_of,
     age_power_integral,
@@ -25,6 +26,7 @@ from gossip_aoi import (
     solve_moments,
     step,
 )
+from gossip_aoi.simulate import check_pending, default_horizon
 from helpers import line_network, random_network, star_network
 
 
@@ -208,6 +210,19 @@ def test_replication_counts_and_rejects_pending_replicas():
     assert result.estimates[0].sample_count == result.replicas - result.pending
     with pytest.raises(PendingReplicasError, match="pending|informed"):
         estimate_moments_replication(net, [2], 1, 2000, 2.0, seed=62)
+
+
+def test_default_horizon_is_three_times_the_worst_pilot_t0():
+    net = line_network(1.0, 2.0)
+    assert default_horizon(net, [2], seed=64) == 3.0 * max(pilot_t0(net, [2], seed=64))
+
+
+def test_check_pending_allows_one_percent():
+    net = line_network(1.0, 2.0)
+    subset = net.check_subset([2])
+    check_pending(ReplicationResult(estimates=(), replicas=1000, pending=10), subset, 1.0)
+    with pytest.raises(PendingReplicasError, match="11 of 1000 replicas"):
+        check_pending(ReplicationResult(estimates=(), replicas=1000, pending=11), subset, 1.0)
 
 
 def test_replication_deterministic_across_workers():
