@@ -89,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--subset", type=_parse_subset, default=None,
                    help="node ids, e.g. 1,2; omit for the full exhaustive table")
     p.add_argument("--memo-limit", type=int, default=moments.DEFAULT_MEMO_LIMIT,
-                   help="abort after this many memoized subsets")
+                   help="abort after this many closure subsets")
 
     p = sub.add_parser("fpp", parents=[common, networked], help="first-passage Monte-Carlo moments")
     p.add_argument("--subset", type=_parse_subset, required=True)

@@ -18,13 +18,7 @@ first-moment recursion of ``moments``: the interior vertices are the nodes,
 each interior edge is a unit-rate arc each way, and each interior-boundary
 edge is a unit-rate source arc, so lambda_0(S) counts the boundary edges of S.
 ``LatticeBox.network`` builds that network and ``box_recursion`` reads v_S
-from ``MomentSolver.dense``.  The dense popcount-layer pass over all 2^N
-interior clusters is used rather than the memoized ``solve``: at d = 8,
-ell = 2 the clusters grown from the origin are half of all 2^17 subsets, and
-a vectorized layer costs far less per subset than a Python recursion step.
-In d = 1 the memo would visit only intervals, so 1-D boxes pay for the full
-table: at the largest accepted box, ell = 11, about 1.4 s and a 144 MB peak
-on a 2-core host, where a memo over intervals is instant.
+from ``MomentSolver.solve``, which runs over the clusters grown from S.
 
 The recursion enumerates clusters of interior vertices, so it is capped at
 boxes whose interior is small; the Monte-Carlo check in
@@ -49,10 +43,11 @@ from . import montecarlo
 from .fpp import exp_weights, relax
 from .moments import MomentSolver
 from .montecarlo import MomentEstimate
-from .network import Edge, GossipNetwork
+from .network import Edge, GossipNetwork, NodeSubset
 
 # An l1 ball has an odd number of points, so an accepted interior has at most
-# 21 vertices, and its 2^21 - 1 clusters fit moments.DEFAULT_MEMO_LIMIT.
+# 21 vertices, and the at most 2^20 clusters grown from a vertex fit
+# moments.DEFAULT_MEMO_LIMIT.
 RECURSION_CAP = 22
 
 Vertex = tuple[int, ...]
@@ -149,8 +144,8 @@ def build_box(d: int, ell: int) -> LatticeBox:
 def box_recursion(box: LatticeBox, cluster: Iterable[Vertex]) -> float:
     """Expected Exp(1) passage time from the cluster to the box boundary.
 
-    The first moment of the cluster in ``box.network``, read from the
-    solver's dense table; 0 when the cluster already touches the boundary.
+    The first moment of the cluster in ``box.network``; 0 when the cluster
+    already touches the boundary.
     """
     pos = {v: p for p, v in enumerate(box.interior)}
     members = list(cluster)
@@ -170,7 +165,7 @@ def box_recursion(box: LatticeBox, cluster: Iterable[Vertex]) -> float:
             f"interior has {len(box.interior)} vertices, above the recursion cap of "
             f"{RECURSION_CAP}; use mc_boundary_passage instead"
         )
-    return float(MomentSolver(box.network, 1).dense()[mask >> 1, 1])
+    return MomentSolver(box.network, 1).solve(NodeSubset(mask))[1]
 
 
 @dataclass(frozen=True)

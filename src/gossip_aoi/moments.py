@@ -12,17 +12,16 @@ bottom out at v^k = k! / lambda_0(S)^k — the raw moments of an exponential
 with rate lambda_0(S) — and at +inf when lambda_0(S) = 0, since such a
 subset can never hear from the source at all.
 
-The recursion only ever visits strict supersets, so it can be evaluated in
-either direction.  ``MomentSolver.solve`` answers one subset by memoized
-recursion over subset bitmasks, which terminates at the full node set and
-touches only the supersets it needs (any network up to 62 nodes).
-``MomentSolver.dense`` fills the whole table bottom-up: a dense array over
-all 2^N subsets, one popcount layer at a time from the full set down to the
-singletons; ``solve_all`` wraps that array into a ``MomentTable``, and
-``lattice.box_recursion`` reads its box values from it.  Both directions
-perform the same floating-point operations in the same order (boundary edges
-in canonical edge order, accumulated left to right from 0.0), so they agree
-bit for bit.
+The right-hand side reads only supersets one node larger, so the recursion
+is one dynamic program over popcount layers, run from the largest subsets
+down by one layer step, ``MomentSolver._layer``.  ``MomentSolver.solve``
+runs it over the closure of its subset, every subset S can grow into (for a
+lattice box, the Eden clusters grown from S), built forward layer by layer;
+``solve_all`` runs it over all 2^N subsets, indexed by mask.  There is no
+memo: a closure is what a memo would hold, and a numpy layer costs far less
+per state than a Python recursion step.  Each row adds its boundary edges
+in canonical edge order, left to right from 0.0, so both queries agree bit
+for bit with the memoized recursion that the tests keep as the reference.
 """
 
 from __future__ import annotations
@@ -39,10 +38,11 @@ from .network import GossipNetwork, NodeSubset, as_subset
 
 EXHAUSTIVE_CAP = 20          # solve_all enumerates 2^N - 1 subsets
 DEFAULT_MEMO_LIMIT = 1 << 21
+TABLE_CHUNK = 1 << 12        # solve_all states per layer step, bounding its working arrays
 
 
 class MemoLimitError(RuntimeError):
-    """Raised when the subset memo table outgrows its configured limit."""
+    """Raised when a query needs more subsets than its ``memo_limit``."""
 
 
 def _memo_limit_error(limit: int) -> MemoLimitError:
@@ -106,23 +106,29 @@ def _render_value_json(v: float) -> float | str:
 class MomentSolver:
     """Evaluator of the subset moment recursion for one network.
 
-    One solver instance owns a memo of per-subset moment vectors up to
-    ``k_max`` for :meth:`solve`; :meth:`dense` (and :meth:`solve_all`, which
-    wraps it) fills the full table with a layer-by-layer pass instead.
-    Subsets found to have zero total source rate (the +inf bottom cases) are
-    collected in :attr:`zero_rate_subsets` as a diagnostic by either method.
+    :meth:`solve` runs the layer step over one subset's closure and
+    :meth:`solve_all` over every subset; no memo is kept between calls.
+    Subsets found to have zero total source rate (the +inf bottom cases)
+    accumulate in :attr:`zero_rate_subsets` as a diagnostic by either method.
     """
 
     def __init__(self, net: GossipNetwork, k_max: int, memo_limit: int = DEFAULT_MEMO_LIMIT):
         self.net = net
         self.k_max = check_order(k_max)
         self.memo_limit = memo_limit
-        self._memo: dict[int, tuple[float, ...]] = {}
         self._zero_rate: set[int] = set()
-        # Split edges once: direct source edges feed lambda_0(S), the rest
-        # are boundary candidates.  Canonical edge order fixes summation order.
-        self._source_edges = [(1 << v, rate) for u, v, rate in net.edges if u == 0]
-        self._inner_edges = [(1 << u, 1 << v, rate) for u, v, rate in net.edges if u != 0]
+        # Bit v - 1 of a state stands for node v, so 62 nodes fit in int64.
+        # Direct source edges feed lambda_0(S), the rest are boundary
+        # candidates; canonical edge order fixes the summation order.
+        src = [(v - 1, rate) for u, v, rate in net.edges if u == 0]
+        inner = [(u - 1, v - 1, rate) for u, v, rate in net.edges if u != 0]
+        self._bits = np.arange(net.node_count, dtype=np.int64)[:, None]
+        self._src_nodes = np.array([v for v, _ in src], dtype=np.intp)
+        self._src_rates = np.array([r for _, r in src], dtype=float)
+        self._u_nodes = np.array([u for u, _, _ in inner], dtype=np.intp)
+        self._v_nodes = np.array([v for _, v, _ in inner], dtype=np.intp)
+        self._u_bits = np.left_shift(1, self._u_nodes, dtype=np.int64)
+        self._rates = np.array([r for _, _, r in inner], dtype=float)
 
     @property
     def zero_rate_subsets(self) -> tuple[NodeSubset, ...]:
@@ -130,110 +136,97 @@ class MomentSolver:
         return tuple(NodeSubset(m) for m in sorted(self._zero_rate))
 
     def solve(self, subset: NodeSubset | Iterable[int]) -> tuple[float, ...]:
-        """Moment vector (v^0, v^1, ..., v^k_max) for one subset."""
+        """Moment vector (v^0, v^1, ..., v^k_max) for one subset.
+
+        Builds the closure forward, one layer at a time: the next layer is
+        the set of S+e over the boundary pairs (S, e) of the current one, and
+        the inverse index of that ``np.unique`` is every pair's row in it.
+        Then runs the layer step back down to the subset.
+        """
         s = self.net.check_subset(subset)
         if not s:
             raise ValueError("subset must be non-empty")
-        return self._vector(s.mask)
+        layers = [np.array([s.mask >> 1], dtype=np.int64)]
+        links = []
+        states = 0
+        while layers[-1].size:
+            layer = layers[-1]
+            states += layer.size
+            if states > self.memo_limit:
+                raise _memo_limit_error(self.memo_limit)
+            edge, row = self._boundary(layer)
+            above, inverse = np.unique(layer[row] | self._u_bits[edge], return_inverse=True)
+            links.append((edge, row, inverse))
+            layers.append(above)
+        vec = np.empty((0, self.k_max + 1))
+        for layer, (edge, row, inverse) in zip(layers[-2::-1], links[::-1]):
+            vec = self._layer(layer, edge, row, vec, inverse)
+        return tuple(vec[0].tolist())
 
     def solve_all(self) -> MomentTable:
-        """Moment vectors for every non-empty subset (node count capped)."""
+        """Moment vectors for every non-empty subset (node count capped).
+
+        Row ``state`` of the working table holds the subset with mask
+        ``state << 1``, so a superset's row is its state; working memory is
+        about (k_max + 1) * 8 * 2^N bytes.
+        """
         n = self.net.node_count
         if n > EXHAUSTIVE_CAP:
             raise ValueError(
                 f"exhaustive solve is capped at {EXHAUSTIVE_CAP} nodes, network has {n}"
             )
-        table = self.dense()
-        columns = [table[1:, k].tolist() for k in range(1, self.k_max + 1)]
-        entries = dict(zip(range(2, len(table) << 1, 2), zip(itertools.repeat(1.0), *columns)))
-        return MomentTable(k_max=self.k_max, entries=entries)
-
-    def dense(self) -> np.ndarray:
-        """Moment vectors of all 2^N subsets as one (2^N, k_max + 1) array.
-
-        Row ``mask >> 1`` holds subset ``mask``; row 0, the empty set, is
-        left unfilled.  Bottom-up over popcount layers, from the full set
-        down to the singletons; every superset a layer reads lies in the
-        layer above.  Working memory is about (k_max + 1) * 8 * 2^N bytes.
-        """
-        n = self.net.node_count
         size = 1 << n
         if size - 1 > self.memo_limit:
             raise _memo_limit_error(self.memo_limit)
-        rows = np.arange(size, dtype=np.int64)
-        popcount = np.zeros(size, dtype=np.int64)
+        states = np.arange(size, dtype=np.int64)
+        popcount = np.zeros(size, dtype=np.int8)
         for bit in range(n):
-            popcount += (rows >> bit) & 1
-        lam0 = np.zeros(size)
-        for v_bit, rate in self._source_edges:
-            lam0[(rows & (v_bit >> 1)) != 0] += rate
-        inner = [(u_bit >> 1, v_bit >> 1, rate) for u_bit, v_bit, rate in self._inner_edges]
+            popcount += (states >> bit) & 1
         table = np.empty((size, self.k_max + 1))
         for count in range(n, 0, -1):
             layer = np.flatnonzero(popcount == count)
-            pushed = np.zeros((layer.size, self.k_max + 1))
-            brate = np.zeros(layer.size)
-            for u_bit, v_bit, rate in inner:
-                # Integer selection, not a 0/1 weight: 0 * inf would be nan.
-                hit = np.flatnonzero(((layer & v_bit) != 0) & ((layer & u_bit) == 0))
-                brate[hit] += rate
-                pushed[hit, 1:] += rate * table[layer[hit] | u_bit, 1:]
-            # Rates are positive, so a zero denominator means no boundary edge
-            # and no source edge: such a subset never hears from the source.
-            # Elsewhere a subset without boundary edges has pushed == 0.0 and
-            # denom == lam0, which is the exponential base case bit for bit.
-            denom = lam0[layer] + brate
-            self._zero_rate.update((layer[denom == 0.0] << 1).tolist())
-            vec = np.empty((layer.size, self.k_max + 1))
-            vec[:, 0] = 1.0
-            with np.errstate(divide="ignore"):
-                for k in range(1, self.k_max + 1):
-                    vec[:, k] = (k * vec[:, k - 1] + pushed[:, k]) / denom
-            table[layer] = vec
-        return table
+            for start in range(0, layer.size, TABLE_CHUNK):
+                part = layer[start:start + TABLE_CHUNK]
+                edge, row = self._boundary(part)
+                table[part] = self._layer(part, edge, row, table, part[row] | self._u_bits[edge])
+        columns = [table[1:, k].tolist() for k in range(1, self.k_max + 1)]
+        entries = dict(zip(range(2, size << 1, 2), zip(itertools.repeat(1.0), *columns)))
+        return MomentTable(k_max=self.k_max, entries=entries)
 
-    def _vector(self, mask: int) -> tuple[float, ...]:
-        cached = self._memo.get(mask)
-        if cached is not None:
-            return cached
-        if len(self._memo) >= self.memo_limit:
-            raise _memo_limit_error(self.memo_limit)
-        lam0 = 0.0
-        for v_bit, rate in self._source_edges:
-            if mask & v_bit:
-                lam0 += rate
-        boundary = [
-            (rate, mask | u_bit)
-            for u_bit, v_bit, rate in self._inner_edges
-            if mask & v_bit and not mask & u_bit
-        ]
-        vec = [1.0] * (self.k_max + 1)
-        if not boundary:
-            if lam0 > 0.0:
-                for k in range(1, self.k_max + 1):
-                    vec[k] = vec[k - 1] * k / lam0
-            else:
-                self._zero_rate.add(mask)
-                for k in range(1, self.k_max + 1):
-                    vec[k] = math.inf
-        else:
-            supersets = [self._vector(sup_mask) for _, sup_mask in boundary]
-            # Plain left-to-right sums, not sum(): from Python 3.12 sum() of
-            # floats is compensated, and solve_all must match bit for bit.
-            brate = 0.0
-            for rate, _ in boundary:
-                brate += rate
-            denom = lam0 + brate
+    def _boundary(self, layer: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(edge, row) index pairs of the boundary edges of a layer's states.
+
+        Edge-major, so every row meets its edges in canonical edge order.
+        """
+        member = ((layer >> self._bits) & 1).astype(bool)
+        return np.nonzero(member[self._v_nodes] > member[self._u_nodes])
+
+    def _layer(self, layer: np.ndarray, edge: np.ndarray, row: np.ndarray,
+               above: np.ndarray, above_rows: np.ndarray) -> np.ndarray:
+        """The layer step: moment vectors of one layer's states.
+
+        Pair i is boundary edge ``edge[i]`` of state ``layer[row[i]]``, whose
+        superset's vector is ``above[above_rows[i]]``.  ``np.bincount`` adds
+        each row's terms from 0.0 in pair order.  Only real pairs are summed,
+        so a superset at +inf never meets a 0 weight (0 * inf would be nan).
+        """
+        size = layer.size
+        rate = self._rates[edge]
+        src_edge, src_row = np.nonzero((layer >> self._bits[self._src_nodes]) & 1)
+        lam0 = np.bincount(src_row, self._src_rates[src_edge], size)
+        # Rates are positive, so a zero denominator means no boundary edge
+        # and no source edge: such a subset never hears from the source.
+        # Elsewhere a subset without boundary edges has pushed == 0.0 and
+        # denom == lam0, which is the exponential base case bit for bit.
+        denom = lam0 + np.bincount(row, rate, size)
+        self._zero_rate.update((layer[denom == 0.0] << 1).tolist())
+        vec = np.empty((size, self.k_max + 1))
+        vec[:, 0] = 1.0
+        with np.errstate(divide="ignore"):
             for k in range(1, self.k_max + 1):
-                pushed = 0.0
-                for (rate, _), sup in zip(boundary, supersets):
-                    pushed += rate * sup[k]
-                vec[k] = (k * vec[k - 1] + pushed) / denom
-        result = tuple(vec)
-        if len(self._memo) >= self.memo_limit:
-            raise _memo_limit_error(self.memo_limit)
-        self._memo[mask] = result
-        return result
+                pushed = np.bincount(row, rate * above[above_rows, k], size)
+                vec[:, k] = (k * vec[:, k - 1] + pushed) / denom
+        return vec
 
 
 def solve_moments(

@@ -40,22 +40,15 @@ def render_json(document: dict[str, Any]) -> str:
     return json.dumps(json_ready(document), indent=2, sort_keys=True) + "\n"
 
 
-def format_cell(value: Any) -> str:
-    if isinstance(value, float):
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        return repr(value)
-    return str(value)
-
-
 def render_csv(header: Sequence[str], rows: Sequence[Sequence[Any]], preamble: str = "") -> str:
+    """CSV text; ``csv.writer`` writes floats with ``repr`` (so ``inf``,
+    ``-inf`` and ``nan`` as such) and other cells with ``str``."""
     buf = io.StringIO()
     if preamble:
         buf.write(preamble)
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([format_cell(cell) for cell in row])
+    writer.writerows(rows)
     return buf.getvalue()
 
 

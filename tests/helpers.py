@@ -11,6 +11,8 @@ import numpy as np
 
 from gossip_aoi import Edge, GossipNetwork, LatticeBox, NodeSubset
 from gossip_aoi.lattice import RECURSION_CAP, Vertex
+from gossip_aoi.moments import DEFAULT_MEMO_LIMIT, _memo_limit_error
+from gossip_aoi.montecarlo import check_order
 
 RATE_LOW = 0.2
 RATE_HIGH = 5.0
@@ -232,6 +234,79 @@ def first_moment(
         return result
 
     return value(s.mask)
+
+
+class MemoMomentSolver:
+    """The subset moment recursion as a memoized recursion over bitmasks.
+
+    Visits exactly the closure of each query and keeps its memo across
+    queries.  Performs the same floating-point operations in the same order
+    as ``MomentSolver`` (boundary edges in canonical edge order, accumulated
+    left to right from 0.0), so the two agree bit for bit; kept as the
+    reference for both of its queries.
+    """
+
+    def __init__(self, net: GossipNetwork, k_max: int, memo_limit: int = DEFAULT_MEMO_LIMIT):
+        self.net = net
+        self.k_max = check_order(k_max)
+        self.memo_limit = memo_limit
+        self._memo: dict[int, tuple[float, ...]] = {}
+        self._zero_rate: set[int] = set()
+        self._source_edges = [(1 << v, rate) for u, v, rate in net.edges if u == 0]
+        self._inner_edges = [(1 << u, 1 << v, rate) for u, v, rate in net.edges if u != 0]
+
+    @property
+    def zero_rate_subsets(self) -> tuple[NodeSubset, ...]:
+        return tuple(NodeSubset(m) for m in sorted(self._zero_rate))
+
+    def solve(self, subset: NodeSubset | Iterable[int]) -> tuple[float, ...]:
+        s = self.net.check_subset(subset)
+        if not s:
+            raise ValueError("subset must be non-empty")
+        return self._vector(s.mask)
+
+    def _vector(self, mask: int) -> tuple[float, ...]:
+        cached = self._memo.get(mask)
+        if cached is not None:
+            return cached
+        if len(self._memo) >= self.memo_limit:
+            raise _memo_limit_error(self.memo_limit)
+        lam0 = 0.0
+        for v_bit, rate in self._source_edges:
+            if mask & v_bit:
+                lam0 += rate
+        boundary = [
+            (rate, mask | u_bit)
+            for u_bit, v_bit, rate in self._inner_edges
+            if mask & v_bit and not mask & u_bit
+        ]
+        vec = [1.0] * (self.k_max + 1)
+        if not boundary:
+            if lam0 > 0.0:
+                for k in range(1, self.k_max + 1):
+                    vec[k] = vec[k - 1] * k / lam0
+            else:
+                self._zero_rate.add(mask)
+                for k in range(1, self.k_max + 1):
+                    vec[k] = math.inf
+        else:
+            supersets = [self._vector(sup_mask) for _, sup_mask in boundary]
+            # Plain left-to-right sums, not sum(): from Python 3.12 sum() of
+            # floats is compensated, and MomentSolver must match bit for bit.
+            brate = 0.0
+            for rate, _ in boundary:
+                brate += rate
+            denom = lam0 + brate
+            for k in range(1, self.k_max + 1):
+                pushed = 0.0
+                for (rate, _), sup in zip(boundary, supersets):
+                    pushed += rate * sup[k]
+                vec[k] = (k * vec[k - 1] + pushed) / denom
+        result = tuple(vec)
+        if len(self._memo) >= self.memo_limit:
+            raise _memo_limit_error(self.memo_limit)
+        self._memo[mask] = result
+        return result
 
 
 def cluster_arcs(box: LatticeBox) -> tuple[tuple[tuple[int, ...], int], ...]:

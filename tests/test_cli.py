@@ -233,3 +233,11 @@ def test_render_csv_quotes_embedded_commas():
     text = render_csv(["subset", "v1"], [["1,2", 0.5]])
     rows = list(csv.reader(io.StringIO(text)))
     assert rows == [["subset", "v1"], ["1,2", "0.5"]]
+
+
+def test_render_csv_writes_mixed_cells_verbatim():
+    row = [1.0, 0.1, 1e-300, 1 / 3, math.inf, -math.inf, math.nan, True, False, 3, "x", "1,2",
+           -0.0, 5e20]
+    assert render_csv(["h"], [row]) == (
+        "h\n1.0,0.1,1e-300,0.3333333333333333,inf,-inf,nan,True,False,3,x,\"1,2\",-0.0,5e+20\n"
+    )

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -142,6 +143,20 @@ def test_box_recursion_equals_the_reference_recursion():
     assert len(largest.interior) == 21
     assert box_recursion(largest, [(0,)]) == pytest.approx(
         reference_box_recursion(largest, [(0,)]), rel=1e-13)
+
+
+def test_one_dimensional_box_solves_only_the_intervals():
+    # From the origin of a 1-D box the clusters are the 121 intervals around
+    # it; a pass over all 2^21 interior clusters would trace over 100 MB.
+    box = build_box(1, 11)
+    tracemalloc.start()
+    try:
+        value = box_recursion(box, [(0,)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert value == pytest.approx(reference_box_recursion(box, [(0,)]), rel=1e-13)
 
 
 def test_raw_values_grow_with_the_radius():

@@ -13,10 +13,18 @@ from gossip_aoi import (
     MemoLimitError,
     MomentSolver,
     expected_age,
+    moments,
     solve_all,
     solve_moments,
 )
-from helpers import all_subsets, first_moment, line_network, random_network, star_network
+from helpers import (
+    MemoMomentSolver,
+    all_subsets,
+    first_moment,
+    line_network,
+    random_network,
+    star_network,
+)
 
 
 def test_line_network_first_two_moments():
@@ -67,9 +75,9 @@ def test_solve_all_enumerates_every_subset():
 
 
 def test_solve_all_matches_memo_recursion_bitwise():
-    # Both evaluation orders do the same operations in the same order, so
-    # the dense table must equal the memo recursion exactly, inf entries and
-    # zero-rate diagnostics included (p = 0.12 leaves nodes unreachable).
+    # The layered DP does the memo recursion's operations in the same order,
+    # so both of its queries must equal the reference exactly, inf entries
+    # and zero-rate diagnostics included (p = 0.12 leaves nodes unreachable).
     rng = np.random.default_rng(26)
     saw_inf = False
     for trial in range(24):
@@ -77,14 +85,26 @@ def test_solve_all_matches_memo_recursion_bitwise():
         k = 1 + trial % 5
         net = random_network(rng, n, p=0.12 if trial % 3 == 0 else 0.45,
                              reachable=trial % 3 == 2)
-        dense = MomentSolver(net, k)
-        table = dense.solve_all()
-        memo = MomentSolver(net, k)
+        exhaustive = MomentSolver(net, k)
+        table = exhaustive.solve_all()
+        single = MomentSolver(net, k)
+        memo = MemoMomentSolver(net, k)
         for ids in all_subsets(n):
-            assert table.get(ids) == memo.solve(ids), (trial, ids)
-        assert dense.zero_rate_subsets == memo.zero_rate_subsets
+            expected = memo.solve(ids)
+            assert table.get(ids) == expected, (trial, ids)
+            assert single.solve(ids) == expected, (trial, ids)
+        assert exhaustive.zero_rate_subsets == memo.zero_rate_subsets
+        assert single.zero_rate_subsets == memo.zero_rate_subsets
         saw_inf = saw_inf or bool(memo.zero_rate_subsets)
     assert saw_inf
+
+
+def test_solve_all_is_independent_of_the_chunking(monkeypatch):
+    rng = np.random.default_rng(27)
+    nets = [random_network(rng, n, p=0.4, reachable=n % 2 == 0) for n in (5, 8, 9)]
+    whole = [solve_all(net, 3).entries for net in nets]
+    monkeypatch.setattr(moments, "TABLE_CHUNK", 7)
+    assert [solve_all(net, 3).entries for net in nets] == whole
 
 
 def test_first_moment_recursion_matches_k1_row():
@@ -159,6 +179,10 @@ def test_memo_limit_is_enforced():
     net = line_network(1.0, 1.0, 1.0, 1.0)
     with pytest.raises(MemoLimitError, match="memo"):
         MomentSolver(net, 1, memo_limit=2).solve([4])
+    # the closure of {4} is {4}, {3,4}, {2,3,4}, {1,2,3,4}
+    with pytest.raises(MemoLimitError, match="exceeded 3 subsets"):
+        MomentSolver(net, 1, memo_limit=3).solve([4])
+    assert MomentSolver(net, 1, memo_limit=4).solve([4])[1] == pytest.approx(4.0, abs=1e-12)
     # the exhaustive table holds 2^4 - 1 = 15 subsets and checks before any work
     with pytest.raises(MemoLimitError, match="exceeded 14 subsets"):
         MomentSolver(net, 1, memo_limit=14).solve_all()
