@@ -41,7 +41,6 @@ from .simulate import (
     ReplicationResult,
     SimEvent,
     SimState,
-    age_of,
     age_power_integral,
     default_burn_in,
     detect_t0,
@@ -50,7 +49,6 @@ from .simulate import (
     new_state,
     pilot_t0,
     replication_results,
-    run_until,
     step,
 )
 
@@ -72,7 +70,6 @@ __all__ = [
     "SimState",
     "TimeConstantEstimate",
     "UnreachableTargetError",
-    "age_of",
     "age_power_integral",
     "as_subset",
     "box_recursion",
@@ -89,7 +86,6 @@ __all__ = [
     "new_state",
     "pilot_t0",
     "replication_results",
-    "run_until",
     "solve_all",
     "solve_moments",
     "step",

@@ -129,6 +129,12 @@ class MomentSolver:
         self._v_nodes = np.array([v for _, v, _ in inner], dtype=np.intp)
         self._u_bits = np.left_shift(1, self._u_nodes, dtype=np.int64)
         self._rates = np.array([r for _, _, r in inner], dtype=float)
+        # solve keeps every closure layer's (edge, row, inverse) links until
+        # the way back.  Edges number under 62^2; rows index a layer that
+        # passed the memo_limit check, and an inverse is used only once its
+        # layer has passed it too, so int32 holds them all unless the limit
+        # itself does not fit.
+        self._link = np.int32 if memo_limit <= np.iinfo(np.int32).max else np.int64
 
     @property
     def zero_rate_subsets(self) -> tuple[NodeSubset, ...]:
@@ -156,7 +162,7 @@ class MomentSolver:
                 raise _memo_limit_error(self.memo_limit)
             edge, row = self._boundary(layer)
             above, inverse = np.unique(layer[row] | self._u_bits[edge], return_inverse=True)
-            links.append((edge, row, inverse))
+            links.append((edge.astype(self._link), row.astype(self._link), inverse.astype(self._link)))
             layers.append(above)
         vec = np.empty((0, self.k_max + 1))
         for layer, (edge, row, inverse) in zip(layers[-2::-1], links[::-1]):

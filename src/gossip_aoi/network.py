@@ -149,10 +149,15 @@ class GossipNetwork:
     def rate_cumsum(self) -> np.ndarray:
         return np.cumsum(self.rates)
 
+    @cached_property
+    def cumulative_rates(self) -> tuple[float, ...]:
+        """``rate_cumsum`` as Python floats, for one bisection per simulated event."""
+        return tuple(self.rate_cumsum.tolist())
+
     @property
     def total_rate(self) -> float:
         """Sum of all edge rates (the superposed event rate)."""
-        return float(self.rate_cumsum[-1]) if len(self.edges) else 0.0
+        return self.cumulative_rates[-1] if self.edges else 0.0
 
     def full_subset(self) -> NodeSubset:
         return NodeSubset(((1 << (self.node_count + 1)) - 1) & ~1)

@@ -10,12 +10,24 @@ Two estimators are provided for the steady-state age moments of a subset:
 ``estimate_moments_replication`` (one observation per independent replica at
 a fixed horizon) and ``estimate_moments_timeavg`` (exact per-segment time
 integrals along a single long trajectory, batch-means standard errors).
+
+The RNG stream fixes the report bytes.  Each event draws one
+``rng.exponential(1 / Lambda)`` gap and then one ``rng.random()`` uniform u,
+and picks the edge whose cumulative-rate interval holds u * Lambda (see
+``_pick``).  ``step`` and the time-average loop draw that pair as scalars
+from one Generator; the replication kernel draws it as arrays, one entry per
+live replica.  A change to the order or the number of draws (chunked draws
+included), to the pick rule or to the order of the sums changes the
+reports.  The time-average loop holds its state in plain lists and floats,
+binds both draws to locals and calls the one delivery rule, ``_deliver``,
+directly, so an event costs little more than its two draws.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import partial
 from typing import Iterable, NamedTuple
@@ -61,62 +73,50 @@ def new_state(net: GossipNetwork) -> SimState:
     return SimState(now=0.0, timestamps=[0.0] * n, informed_at=[math.nan] * n)
 
 
-def _draw(state: SimState, net: GossipNetwork, rng: np.random.Generator) -> tuple[float, int]:
-    """Next event: (absolute time, edge index)."""
+def _event_rate(net: GossipNetwork) -> float:
+    """Lambda, the rate of the superposed event clock; an error when it never rings."""
     total = net.total_rate
     if not total > 0.0:
         raise ValueError("network has no edges; the event clock never rings")
-    t_next = state.now + rng.exponential(1.0 / total)
-    idx = int(np.searchsorted(net.rate_cumsum, rng.random() * total, side="right"))
-    return t_next, min(idx, len(net.edges) - 1)
+    return total
 
 
-def _apply(state: SimState, net: GossipNetwork, edge_index: int, time: float) -> SimEvent:
-    edge = net.edges[edge_index]
-    u, v = edge.from_node, edge.to_node
-    sent = time if u == 0 else state.timestamps[u]
-    old = state.timestamps[v]
-    new = max(old, sent)
-    state.timestamps[v] = new
-    if (u == 0 or sent > 0.0) and math.isnan(state.informed_at[v]):
-        state.informed_at[v] = time
-    state.now = time
-    return SimEvent(time=time, edge=edge, old_timestamp=old, new_timestamp=new)
+def _pick(cumulative: tuple[float, ...], x: float) -> int:
+    """Index of the edge whose cumulative-rate interval holds ``x`` = u * Lambda.
+
+    ``bisect_right`` compares float64 with float64 exactly as
+    ``np.searchsorted(side="right")`` does, so an ``x`` on a threshold picks
+    the edge above it.  A uniform below 1 keeps ``x`` below Lambda; one that
+    reached Lambda would run the bisection off the end, hence the clamp to
+    the last edge.
+    """
+    return min(bisect_right(cumulative, x), len(cumulative) - 1)
+
+
+def _deliver(ts: list[float], informed: list[float], u: int, v: int, time: float) -> tuple[float, float]:
+    """Deliver u's information to v at ``time``; return v's (old, new) timestamp.
+
+    The source sends the current time, any other node its held timestamp;
+    v keeps the newer of the two, and the first source-originated delivery
+    sets v's informed time.
+    """
+    sent = time if u == 0 else ts[u]
+    old = ts[v]
+    new = sent if sent > old else old
+    ts[v] = new
+    if (u == 0 or sent > 0.0) and math.isnan(informed[v]):
+        informed[v] = time
+    return old, new
 
 
 def step(state: SimState, net: GossipNetwork, rng: np.random.Generator) -> SimEvent:
     """Advance by one event and apply it."""
-    t_next, idx = _draw(state, net, rng)
-    return _apply(state, net, idx, t_next)
-
-
-def run_until(
-    state: SimState, net: GossipNetwork, horizon: float, rng: np.random.Generator
-) -> SimState:
-    """Advance the trajectory to exactly ``horizon``.
-
-    Events strictly before the horizon are applied; the first draw at or past
-    it is discarded (exact in law, by memorylessness of the clocks) and the
-    clock is left at the horizon, so ages read off the returned state are
-    ages at exactly the horizon.
-    """
-    if horizon < state.now:
-        raise ValueError(f"horizon {horizon} lies before the current time {state.now}")
-    while state.now < horizon:
-        t_next, idx = _draw(state, net, rng)
-        if t_next >= horizon:
-            state.now = horizon
-            break
-        _apply(state, net, idx, t_next)
-    return state
-
-
-def age_of(state: SimState, subset: NodeSubset | Iterable[int]) -> float:
-    """Minimum age over the subset at the state's current time."""
-    s = as_subset(subset)
-    if not s:
-        raise ValueError("subset must be non-empty")
-    return state.now - max(state.timestamps[u] for u in s)
+    total = _event_rate(net)
+    time = state.now + rng.exponential(1.0 / total)
+    edge = net.edges[_pick(net.cumulative_rates, rng.random() * total)]
+    old, new = _deliver(state.timestamps, state.informed_at, edge.from_node, edge.to_node, time)
+    state.now = time
+    return SimEvent(time=time, edge=edge, old_timestamp=old, new_timestamp=new)
 
 
 def detect_t0(state: SimState, subset: NodeSubset | Iterable[int]) -> float | None:
@@ -262,8 +262,7 @@ def replication_results(
         raise ValueError(f"need at least 2 replicas, got {replicas}")
     if not horizon > 0.0:
         raise ValueError(f"horizon must be positive, got {horizon}")
-    if not net.total_rate > 0.0:
-        raise ValueError("network has no edges; the event clock never rings")
+    _event_rate(net)
 
     sizes = tuple(montecarlo.block_sizes(replicas, montecarlo.REPLICATION_BLOCK))
     subset_ids = tuple(s.ids() for s in checked)
@@ -353,8 +352,10 @@ def estimate_moments_timeavg(
     if burn_in < 0 or not horizon > burn_in:
         raise ValueError(f"need 0 <= burn_in < horizon, got burn_in={burn_in}, horizon={horizon}")
 
+    total = _event_rate(net)
+
     width = (horizon - burn_in) / batches
-    sums = np.zeros((batches, k_max))
+    sums = [[0.0] * k_max for _ in range(batches)]   # Python floats: the same adds as float64
 
     def accumulate(a: float, b: float, held: float) -> None:
         lo = max(a, burn_in)
@@ -364,27 +365,39 @@ def estimate_moments_timeavg(
             cut = min(hi, burn_in + (j + 1) * width)
             if cut <= lo:
                 cut = hi
+            row = sums[j]
             for k in range(1, k_max + 1):
-                sums[j, k - 1] += age_power_integral(lo - held, cut - lo, k)
+                row[k - 1] += age_power_integral(lo - held, cut - lo, k)
             lo = cut
 
     rng = montecarlo.block_rng(seed, montecarlo.STREAM_TIMEAVG, 0)
+    exponential, random = rng.exponential, rng.random
+    mean_gap = 1.0 / total
+    cumulative = net.cumulative_rates
+    edges = net.edges
+    senders = [e.from_node for e in edges]
+    receivers = [e.to_node for e in edges]
+    member = [v in s for v in range(net.node_count + 1)]
     state = new_state(net)
+    ts, informed = state.timestamps, state.informed_at
+    now = 0.0
     held = 0.0        # max timestamp over the subset, constant between events
     seg_start = 0.0
     while True:
-        t_next, idx = _draw(state, net, rng)
+        t_next = now + exponential(mean_gap)
+        idx = _pick(cumulative, random() * total)
         if t_next >= horizon:
             accumulate(seg_start, horizon, held)
-            state.now = horizon
             break
-        event = _apply(state, net, idx, t_next)
+        now = t_next
+        v = receivers[idx]
+        old, new = _deliver(ts, informed, senders[idx], v, now)
         if trace is not None:
-            trace.append(event)
-        if event.edge.to_node in s and event.new_timestamp > held:
-            accumulate(seg_start, t_next, held)
-            held = event.new_timestamp
-            seg_start = t_next
+            trace.append(SimEvent(time=now, edge=edges[idx], old_timestamp=old, new_timestamp=new))
+        if member[v] and new > held:
+            accumulate(seg_start, now, held)
+            held = new
+            seg_start = now
 
     t0 = detect_t0(state, s)
     if t0 is None:
@@ -400,7 +413,7 @@ def estimate_moments_timeavg(
             stacklevel=2,
         )
 
-    batch_means = sums / width
+    batch_means = np.array(sums) / width
     estimates = []
     for k in range(1, k_max + 1):
         col = batch_means[:, k - 1]

@@ -4,15 +4,24 @@ from __future__ import annotations
 
 import heapq
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from gossip_aoi import Edge, GossipNetwork, LatticeBox, NodeSubset
+from gossip_aoi import Edge, GossipNetwork, LatticeBox, NodeSubset, as_subset, montecarlo
 from gossip_aoi.lattice import RECURSION_CAP, Vertex
 from gossip_aoi.moments import DEFAULT_MEMO_LIMIT, _memo_limit_error
-from gossip_aoi.montecarlo import check_order
+from gossip_aoi.montecarlo import MomentEstimate, check_order
+from gossip_aoi.simulate import (
+    TIMEAVG_BATCHES,
+    SimEvent,
+    SimState,
+    age_power_integral,
+    detect_t0,
+    new_state,
+)
 
 RATE_LOW = 0.2
 RATE_HIGH = 5.0
@@ -385,3 +394,142 @@ def reference_box_recursion(box: LatticeBox, cluster: Iterable[Vertex]) -> float
     for p in seed_positions:
         start |= 1 << p
     return value(start)
+
+
+# ---- event-driven simulation: the per-event reference ----------------------
+#
+# The draw, the delivery and the time-average loop as they stood before the
+# simulator's list-based loop; the package must consume the RNG stream and
+# add up the same floats exactly as these do.
+
+
+def _draw(state: SimState, net: GossipNetwork, rng: np.random.Generator) -> tuple[float, int]:
+    """Next event: (absolute time, edge index)."""
+    total = net.total_rate
+    if not total > 0.0:
+        raise ValueError("network has no edges; the event clock never rings")
+    t_next = state.now + rng.exponential(1.0 / total)
+    idx = int(np.searchsorted(net.rate_cumsum, rng.random() * total, side="right"))
+    return t_next, min(idx, len(net.edges) - 1)
+
+
+def _apply(state: SimState, net: GossipNetwork, edge_index: int, time: float) -> SimEvent:
+    edge = net.edges[edge_index]
+    u, v = edge.from_node, edge.to_node
+    sent = time if u == 0 else state.timestamps[u]
+    old = state.timestamps[v]
+    new = max(old, sent)
+    state.timestamps[v] = new
+    if (u == 0 or sent > 0.0) and math.isnan(state.informed_at[v]):
+        state.informed_at[v] = time
+    state.now = time
+    return SimEvent(time=time, edge=edge, old_timestamp=old, new_timestamp=new)
+
+
+def run_until(
+    state: SimState, net: GossipNetwork, horizon: float, rng: np.random.Generator
+) -> SimState:
+    """Advance the trajectory to exactly ``horizon``.
+
+    Events strictly before the horizon are applied; the first draw at or past
+    it is discarded (exact in law, by memorylessness of the clocks) and the
+    clock is left at the horizon, so ages read off the returned state are
+    ages at exactly the horizon.
+    """
+    if horizon < state.now:
+        raise ValueError(f"horizon {horizon} lies before the current time {state.now}")
+    while state.now < horizon:
+        t_next, idx = _draw(state, net, rng)
+        if t_next >= horizon:
+            state.now = horizon
+            break
+        _apply(state, net, idx, t_next)
+    return state
+
+
+def age_of(state: SimState, subset: NodeSubset | Iterable[int]) -> float:
+    """Minimum age over the subset at the state's current time."""
+    s = as_subset(subset)
+    if not s:
+        raise ValueError("subset must be non-empty")
+    return state.now - max(state.timestamps[u] for u in s)
+
+
+def reference_timeavg(
+    net: GossipNetwork,
+    subset: NodeSubset | Iterable[int],
+    k_max: int,
+    horizon: float,
+    burn_in: float,
+    seed: int = 0,
+    batches: int = TIMEAVG_BATCHES,
+    trace: list[SimEvent] | None = None,
+) -> list[MomentEstimate]:
+    """Time-averaged raw age moments over [burn_in, horizon] of one trajectory,
+    one ``_draw``/``_apply`` pair and numpy scalar sums per event; the
+    reference for ``estimate_moments_timeavg``."""
+    montecarlo.check_order(k_max)
+    montecarlo.check_seed(seed)
+    s = net.check_subset(subset)
+    if not s:
+        raise ValueError("subset must be non-empty")
+    if batches < 2:
+        raise ValueError(f"need at least 2 batches, got {batches}")
+    if burn_in < 0 or not horizon > burn_in:
+        raise ValueError(f"need 0 <= burn_in < horizon, got burn_in={burn_in}, horizon={horizon}")
+
+    width = (horizon - burn_in) / batches
+    sums = np.zeros((batches, k_max))
+
+    def accumulate(a: float, b: float, held: float) -> None:
+        lo = max(a, burn_in)
+        hi = min(b, horizon)
+        while lo < hi:
+            j = min(int((lo - burn_in) / width), batches - 1)
+            cut = min(hi, burn_in + (j + 1) * width)
+            if cut <= lo:
+                cut = hi
+            for k in range(1, k_max + 1):
+                sums[j, k - 1] += age_power_integral(lo - held, cut - lo, k)
+            lo = cut
+
+    rng = montecarlo.block_rng(seed, montecarlo.STREAM_TIMEAVG, 0)
+    state = new_state(net)
+    held = 0.0        # max timestamp over the subset, constant between events
+    seg_start = 0.0
+    while True:
+        t_next, idx = _draw(state, net, rng)
+        if t_next >= horizon:
+            accumulate(seg_start, horizon, held)
+            state.now = horizon
+            break
+        event = _apply(state, net, idx, t_next)
+        if trace is not None:
+            trace.append(event)
+        if event.edge.to_node in s and event.new_timestamp > held:
+            accumulate(seg_start, t_next, held)
+            held = event.new_timestamp
+            seg_start = t_next
+
+    t0 = detect_t0(state, s)
+    if t0 is None:
+        warnings.warn(
+            f"subset {s} never became source-informed within the horizon {horizon}",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    elif t0 > burn_in:
+        warnings.warn(
+            f"burn-in {burn_in} ends before t_0 = {t0:.6g}; early-window bias likely",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+
+    batch_means = sums / width
+    estimates = []
+    for k in range(1, k_max + 1):
+        col = batch_means[:, k - 1]
+        mean = float(col.mean())
+        se = float(col.std(ddof=1) / math.sqrt(batches))
+        estimates.append(MomentEstimate(k=k, mean=mean, std_error=se, sample_count=batches))
+    return estimates

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -18,6 +19,23 @@ LINE_DOC = (
     '{"from": 0, "to": 1, "rate": 1.0}, {"from": 1, "to": 2, "rate": 2.0}]}'
 )
 LONELY_DOC = '{"nodes": 2, "edges": [{"from": 0, "to": 1, "rate": 1.0}]}'
+GOLDEN_DOC = (
+    '{"nodes": 3, "edges": ['
+    '{"from": 0, "to": 1, "rate": 1.0}, {"from": 0, "to": 3, "rate": 0.3}, '
+    '{"from": 1, "to": 2, "rate": 2.0}, {"from": 2, "to": 3, "rate": 1.5}, '
+    '{"from": 3, "to": 1, "rate": 0.7}]}'
+)
+# Simulate reports on GOLDEN_DOC at seed 12.  Every event draws one
+# exponential gap and then one uniform edge pick from its Generator, in that
+# order; these bytes pin that contract, so a change to how the stream is
+# consumed (chunked draws, another pick rule, another summation) fails here.
+# Both default rules run the pilot, which goes through ``step``.
+GOLDEN_SHA256 = {
+    "timeavg.json": "8900064eefc9cfba6c1767aee7dac5a13cd04255cf4c3dc521faf780ea3d810c",
+    "timeavg.csv": "7ce591fde0f9f64688fc354c5c7915262d4e226c3f94516b8a79f70c919d9cd0",
+    "trace.csv": "b27591fec5b0dabe12a44024127bdb121eee7d15a9526d9981efb88be2655e78",
+    "replication.json": "fd7ad5acb7b73b47d717d834d31b6cc9ce4fe6b60dd5dae28eec5d9947f28172",
+}
 
 
 @pytest.fixture
@@ -150,6 +168,19 @@ def test_trace_is_timeavg_only(capsys, line_path, tmp_path):
     assert len(rows) > 10
     times = [float(r[0]) for r in rows[1:]]
     assert times == sorted(times)
+
+
+def test_simulate_reports_keep_their_golden_bytes(tmp_path, monkeypatch):
+    (tmp_path / "golden.json").write_text(GOLDEN_DOC)
+    monkeypatch.chdir(tmp_path)   # the report echoes the network path
+    base = ["simulate", "--network", "golden.json", "--subset", "2,3", "--k", "3", "--seed", "12"]
+    timeavg = base + ["--mode", "timeavg", "--horizon", "400"]
+    assert cli.main(timeavg + ["--trace", "trace.csv", "--out", "timeavg.json"]) == 0
+    assert cli.main(timeavg + ["--burn-in", "5", "--format", "csv", "--out", "timeavg.csv"]) == 0
+    assert cli.main(base + ["--replicas", "3000", "--out", "replication.json"]) == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in GOLDEN_SHA256}
+    assert digests == GOLDEN_SHA256
 
 
 def test_lattice_reports_exact_and_mc_values(capsys):

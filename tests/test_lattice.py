@@ -159,6 +159,22 @@ def test_one_dimensional_box_solves_only_the_intervals():
     assert value == pytest.approx(reference_box_recursion(box, [(0,)]), rel=1e-13)
 
 
+def test_box_closure_links_stay_small():
+    # From the origin of the d = 8, ell = 2 box the closure holds all 2^16
+    # clusters and 524 288 boundary pairs; kept as int64 until the way back,
+    # their links alone traced a peak above 17 MB.
+    box = build_box(8, 2)
+    origin = [(0,) * 8]
+    tracemalloc.start()
+    try:
+        value = box_recursion(box, origin)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 14 * 2**20
+    assert value == pytest.approx(reference_box_recursion(box, origin), rel=1e-13)
+
+
 def test_raw_values_grow_with_the_radius():
     raws = [time_constant_estimate(2, ell).raw for ell in (1, 2, 3)]
     assert raws[0] < raws[1] < raws[2]

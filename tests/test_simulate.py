@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,20 +15,26 @@ from gossip_aoi import (
     PendingReplicasError,
     ReplicationResult,
     SimState,
-    age_of,
     age_power_integral,
     detect_t0,
     estimate_moments_replication,
     estimate_moments_timeavg,
+    montecarlo,
     new_state,
     pilot_t0,
     replication_results,
-    run_until,
     solve_moments,
     step,
 )
 from gossip_aoi.simulate import check_pending, default_horizon
-from helpers import line_network, random_network, star_network
+from helpers import (
+    age_of,
+    line_network,
+    random_network,
+    reference_timeavg,
+    run_until,
+    star_network,
+)
 
 
 def test_edge_selection_frequencies_follow_the_rates():
@@ -177,6 +184,71 @@ def test_timeavg_warns_when_the_subset_is_never_informed():
     net = GossipNetwork(node_count=2, edges=(Edge(0, 1, 1.0),))
     with pytest.warns(RuntimeWarning):
         estimate_moments_timeavg(net, [2], 1, 50.0, 10.0, seed=57)
+
+
+def _timeavg_outcome(estimator, net, subset, k_max, horizon, burn_in, seed, batches):
+    """(estimates or error text, trace, warnings) of one time-average run."""
+    trace: list = []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = estimator(net, subset, k_max, horizon, burn_in, seed=seed,
+                               batches=batches, trace=trace)
+        except ValueError as exc:
+            result = f"ValueError: {exc}"
+    return result, trace, [(w.category, str(w.message)) for w in caught]
+
+
+def test_timeavg_is_bitwise_the_reference_loop():
+    seen = set()
+    for case in range(16):
+        rng = np.random.default_rng([68, case])
+        n = int(rng.integers(2, 11))
+        net = random_network(rng, n, p=0.3, reachable=case % 4 != 0)
+        subset = [v for v in range(1, n + 1) if rng.random() < 0.4] or [n]
+        k_max = int(rng.integers(1, 6))
+        batches = (2, 30)[case % 2]
+        # 40 events over 30 batches: subset segments span several windows.
+        events = (40.0, 3000.0)[case // 2 % 2]
+        horizon = events / net.total_rate if net.edges else 1.0
+        burn_in = 0.0 if case % 3 == 0 else float(rng.uniform(0.0, 0.5)) * horizon
+        args = (net, subset, k_max, horizon, burn_in, 1000 + case, batches)
+        ours = _timeavg_outcome(estimate_moments_timeavg, *args)
+        assert ours == _timeavg_outcome(reference_timeavg, *args), case
+        seen.update(message.split()[0] for _, message in ours[2])
+    assert seen == {"subset", "burn-in"}   # "never informed" and "burn-in before t_0"
+
+
+class FixedDrawRng:
+    """Generator stand-in: every gap is the mean gap, every uniform is ``u``."""
+
+    def __init__(self, u: float):
+        self.u = u
+
+    def exponential(self, scale: float) -> float:
+        return scale
+
+    def random(self) -> float:
+        return self.u
+
+
+@pytest.mark.parametrize("u, picked", [(0.25, 1), (0.5, 2), (1.0 - 2.0**-53, 2), (1.0, 2)])
+def test_uniform_picks_the_edge_above_its_threshold(u, picked, monkeypatch):
+    # Lambda = 4 and the thresholds 1, 2, 4 are exact.  At u = 0.25 and 0.5,
+    # u * Lambda lands on a threshold and picks the edge above it, as
+    # searchsorted(side="right") does.  1 - 2^-53, the largest uniform numpy
+    # draws, keeps u * Lambda below Lambda; u = 1.0 reaches Lambda, runs the
+    # bisection off the end and must clamp to the last edge.
+    net = GossipNetwork(node_count=3, edges=(Edge(0, 1, 1.0), Edge(1, 2, 1.0), Edge(2, 3, 2.0)))
+    assert step(new_state(net), net, FixedDrawRng(u)).edge == net.edges[picked]
+
+    monkeypatch.setattr(montecarlo, "block_rng", lambda *cell: FixedDrawRng(u))
+    args = (net, [3], 1, 10.0, 1.0, 0, 30)
+    ours = _timeavg_outcome(estimate_moments_timeavg, *args)
+    assert ours == _timeavg_outcome(reference_timeavg, *args)
+    trace = ours[1]
+    assert len(trace) == 39   # gaps of exactly 0.25 up to the horizon
+    assert {event.edge for event in trace} == {net.edges[picked]}
 
 
 def test_replication_star_and_line_moments():
