@@ -17,6 +17,11 @@ gather.  The uniforms are still drawn in (samples, edges) row-major order,
 because that order fixes which RNG output lands on which (sample, edge)
 cell; ``exp_weights`` transposes them into the node-major buffer as it
 draws.  The lattice sampler uses the same two functions with unit rates.
+
+Each block is one draw of ``montecarlo.sample_moments``: it returns every
+subset's finite passage times, and the pipeline turns them into power sums
+and adds those in block order.  A subset that kept fewer than all samples
+is not reachable from the source, and raises ``UnreachableTargetError``.
 """
 
 from __future__ import annotations
@@ -99,27 +104,16 @@ def relax(
     return dist
 
 
-def _fpp_block(
-    net: GossipNetwork,
-    subset_ids: tuple[tuple[int, ...], ...],
-    k_max: int,
-    sizes: tuple[int, ...],
-    seed: int,
-    block: int,
-) -> list[tuple[np.ndarray, np.ndarray, int]]:
-    """Sample one weight block; per subset return (power sums, square sums,
-    count of infinite passage times)."""
-    rng = montecarlo.block_rng(seed, montecarlo.STREAM_FPP, block)
-    dist = relax(net.in_arcs, exp_weights(rng, sizes[block], net.rates), 0)
+def _fpp_draw(
+    net: GossipNetwork, subset_ids: tuple[tuple[int, ...], ...], rng: np.random.Generator, size: int
+) -> list[np.ndarray]:
+    """Relax one weight block; per subset return its finite passage times."""
+    dist = relax(net.in_arcs, exp_weights(rng, size, net.rates), 0)
     out = []
     for ids in subset_ids:
         passage = dist[list(ids)].min(axis=0)
-        bad = int(np.isinf(passage).sum())
-        if bad:
-            out.append((np.zeros(k_max), np.zeros(k_max), bad))
-            continue
-        sums, sqsums = montecarlo.power_sums(passage, k_max)
-        out.append((sums, sqsums, 0))
+        finite = np.isfinite(passage)
+        out.append(passage if finite.all() else passage[finite])
     return out
 
 
@@ -132,35 +126,19 @@ def estimate_moments_subsets(
     workers: int = 1,
 ) -> dict[NodeSubset, list[MomentEstimate]]:
     """Empirical passage-time moments for several subsets sharing one sample set."""
-    montecarlo.check_order(k_max)
-    montecarlo.check_seed(seed)
-    checked: list[NodeSubset] = []
-    for subset in subsets:
-        s = net.check_subset(subset)
-        if not s:
-            raise ValueError("subset must be non-empty")
-        if s not in checked:
-            checked.append(s)
-    sizes = tuple(montecarlo.block_sizes(samples, montecarlo.FPP_BLOCK))
-    fn = partial(_fpp_block, net, tuple(s.ids() for s in checked), k_max, sizes, seed)
-    blocks = montecarlo.map_blocks(fn, len(sizes), workers)
-
+    checked = list(dict.fromkeys(map(net.check_subset, subsets)))
+    draw = partial(_fpp_draw, net, tuple(s.ids() for s in checked))
+    groups = montecarlo.sample_moments(
+        draw, k_max, samples, montecarlo.FPP_BLOCK, seed, montecarlo.STREAM_FPP, workers
+    )
     results = {}
-    for i, s in enumerate(checked):
-        sums = np.zeros(k_max)
-        sqsums = np.zeros(k_max)
-        bad = 0
-        for blk in blocks:
-            bs, bq, bb = blk[i]
-            sums = sums + bs
-            sqsums = sqsums + bq
-            bad += bb
-        if bad:
+    for s, (count, estimates) in zip(checked, groups):
+        if count < samples:
             raise UnreachableTargetError(
-                f"subset {s}: {bad} of {samples} samples have infinite passage time; "
+                f"subset {s}: {samples - count} of {samples} samples have infinite passage time; "
                 "no member is reachable from the source"
             )
-        results[s] = montecarlo.moments_from_power_sums(samples, sums, sqsums)
+        results[s] = estimates
     return results
 
 

@@ -28,7 +28,9 @@ sampler's kernel: ``fpp.exp_weights`` with unit rates gives a node-major
 (vertices, samples) distance array with whole-row operations.  The uniforms
 behind the block are still drawn in (samples, edges) row-major order, since
 that order decides which RNG output becomes which (sample, edge) weight.
-Both directions of an edge share its weight row.
+Both directions of an edge share its weight row.  Each block returns its
+passage times as one group to ``montecarlo.sample_moments``, which reduces
+every block's power sums in block order, as for the other two samplers.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from . import montecarlo
 from .fpp import exp_weights, relax
 from .moments import MomentSolver
 from .montecarlo import MomentEstimate
-from .network import Edge, GossipNetwork, NodeSubset
+from .network import Edge, GossipNetwork, NodeSubset, group_in_arcs
 
 # An l1 ball has an odd number of points, so an accepted interior has at most
 # 21 vertices, and the at most 2^20 clusters grown from a vertex fit
@@ -83,17 +85,8 @@ class LatticeBox:
     def in_arcs(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """Per vertex: (neighbour indices, edge indices), both directions of
         every undirected edge sharing one weight slot."""
-        ins: list[list[tuple[int, int]]] = [[] for _ in self.vertices]
-        for eidx, (i, j) in enumerate(self.edges):
-            ins[i].append((j, eidx))
-            ins[j].append((i, eidx))
-        return tuple(
-            (
-                np.array([v for v, _ in lst], dtype=np.int64),
-                np.array([e for _, e in lst], dtype=np.int64),
-            )
-            for lst in ins
-        )
+        arcs = (arc for e, (i, j) in enumerate(self.edges) for arc in ((j, i, e), (i, j, e)))
+        return group_in_arcs(len(self.vertices), arcs)
 
     @cached_property
     def network(self) -> GossipNetwork:
@@ -187,30 +180,21 @@ def time_constant_estimate(d: int, ell: int) -> TimeConstantEstimate:
     return TimeConstantEstimate(d=d, ell=ell, raw=raw, normalized=raw / ell)
 
 
-def _lattice_block(
-    box: LatticeBox, sizes: tuple[int, ...], seed: int, block: int
-) -> tuple[float, float]:
-    """One sample block: (sum of passage times, sum of their squares)."""
-    rng = montecarlo.block_rng(seed, montecarlo.STREAM_LATTICE, block)
-    weights = exp_weights(rng, sizes[block], np.ones(len(box.edges)))
+def _lattice_draw(box: LatticeBox, rng: np.random.Generator, size: int) -> list[np.ndarray]:
+    """One sample block: the origin-to-boundary passage times, as one group."""
+    weights = exp_weights(rng, size, np.ones(len(box.edges)))
     dist = relax(box.in_arcs, weights, box.origin)
     boundary_cols = [i for i, b in enumerate(box.boundary) if b]
-    passage = dist[boundary_cols].min(axis=0)
-    return float(passage.sum()), float((passage * passage).sum())
+    return [dist[boundary_cols].min(axis=0)]
 
 
 def mc_boundary_passage(
     d: int, ell: int, samples: int, seed: int = 0, workers: int = 1
 ) -> MomentEstimate:
     """Monte-Carlo mean passage time from the origin to the box boundary."""
-    montecarlo.check_seed(seed)
     box = build_box(d, ell)
-    sizes = tuple(montecarlo.block_sizes(samples, montecarlo.LATTICE_BLOCK))
-    fn = partial(_lattice_block, box, sizes, seed)
-    blocks = montecarlo.map_blocks(fn, len(sizes), workers)
-    total = 0.0
-    total_sq = 0.0
-    for s1, s2 in blocks:
-        total += s1
-        total_sq += s2
-    return montecarlo.moments_from_power_sums(samples, [total], [total_sq])[0]
+    [(_, estimates)] = montecarlo.sample_moments(
+        partial(_lattice_draw, box), 1, samples, montecarlo.LATTICE_BLOCK, seed,
+        montecarlo.STREAM_LATTICE, workers,
+    )
+    return estimates[0]

@@ -150,8 +150,6 @@ class MomentSolver:
         Then runs the layer step back down to the subset.
         """
         s = self.net.check_subset(subset)
-        if not s:
-            raise ValueError("subset must be non-empty")
         layers = [np.array([s.mask >> 1], dtype=np.int64)]
         links = []
         states = 0

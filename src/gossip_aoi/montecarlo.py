@@ -1,10 +1,16 @@
-"""Shared Monte-Carlo plumbing: derived RNG streams, block scheduling, and
-moment estimates.
+"""Shared Monte-Carlo plumbing: one block-sample-reduce pipeline.
 
-Work is split into fixed-size blocks, each owning an RNG stream derived from
-(master seed, stream tag, block index).  Results are reduced in block order,
-so estimates are bit-identical across runs and across worker counts; the
-worker pool only changes who computes a block, never what it contains.
+``sample_moments`` serves the first-passage sampler, the replication
+simulator and the lattice sampler.  Work is split into fixed-size blocks,
+each owning an RNG stream derived from (master seed, stream tag, block
+index).  A block calls ``draw(rng, size)``, which returns one array per
+group (a subset, or the box boundary) holding the observations the group
+keeps; a draw drops what it cannot observe (an infinite passage time, a
+replica still uninformed at the horizon), so the kept count may fall short
+of ``size``.  The worker reduces each array to its power sums at once, so
+only k_max-long vectors leave it.  The sums are added per group in block
+order, so estimates are bit-identical across runs and across worker counts;
+the worker pool only changes who computes a block, never what it contains.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence, TypeVar
 
 import numpy as np
@@ -117,3 +124,40 @@ def moments_from_power_sums(
             se = math.inf
         estimates.append(MomentEstimate(k=k, mean=mean, std_error=se, sample_count=int(count)))
     return estimates
+
+
+Draw = Callable[[np.random.Generator, int], Sequence[np.ndarray]]
+
+
+def _sample_block(
+    draw: Draw, k_max: int, sizes: tuple[int, ...], seed: int, stream: int, block: int
+) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """Draw one block; per group return (kept count, power sums, square sums)."""
+    groups = draw(block_rng(seed, stream, block), sizes[block])
+    return [(len(kept), *power_sums(kept, k_max)) for kept in groups]
+
+
+def sample_moments(
+    draw: Draw, k_max: int, total: int, block: int, seed: int, stream: int, workers: int = 1
+) -> list[tuple[int, list[MomentEstimate]]]:
+    """Per group: (kept count, moment estimates over the kept observations).
+
+    ``total`` draws are split into ``block``-sized blocks on ``stream``;
+    ``draw`` must be picklable when workers > 1.  A group that kept nothing
+    has no estimates.
+    """
+    check_order(k_max)
+    check_seed(seed)
+    sizes = tuple(block_sizes(total, block))
+    blocks = map_blocks(partial(_sample_block, draw, k_max, sizes, seed, stream), len(sizes), workers)
+    results = []
+    for group in zip(*blocks):
+        count = 0
+        sums = np.zeros(k_max)
+        sqsums = np.zeros(k_max)
+        for kept, bs, bq in group:
+            count += kept
+            sums = sums + bs
+            sqsums = sqsums + bq
+        results.append((count, moments_from_power_sums(count, sums, sqsums) if count else []))
+    return results

@@ -81,6 +81,20 @@ def as_subset(subset: NodeSubset | Iterable[int]) -> NodeSubset:
     return NodeSubset.of(subset)
 
 
+def group_in_arcs(
+    nodes: int, arcs: Iterable[tuple[int, int, int]]
+) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """``fpp.relax``'s input from (from, to, edge index) arcs: per node
+    0..nodes-1, (from-nodes, edge indices) of its in-arcs in arc order."""
+    ins: list[list[tuple[int, int]]] = [[] for _ in range(nodes)]
+    for u, v, e in arcs:
+        ins[v].append((u, e))
+    return tuple(
+        (np.array([u for u, _ in lst], dtype=np.int64), np.array([e for _, e in lst], dtype=np.int64))
+        for lst in ins
+    )
+
+
 @dataclass(frozen=True)
 class GossipNetwork:
     """A validated gossip network.
@@ -130,16 +144,8 @@ class GossipNetwork:
     @cached_property
     def in_arcs(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """Per node: (array of from-nodes, array of edge indices) for its in-edges."""
-        ins: list[list[tuple[int, int]]] = [[] for _ in range(self.node_count + 1)]
-        for idx, (u, v, _) in enumerate(self.edges):
-            ins[v].append((u, idx))
-        return tuple(
-            (
-                np.array([u for u, _ in lst], dtype=np.int64),
-                np.array([e for _, e in lst], dtype=np.int64),
-            )
-            for lst in ins
-        )
+        arcs = ((u, v, idx) for idx, (u, v, _) in enumerate(self.edges))
+        return group_in_arcs(self.node_count + 1, arcs)
 
     @cached_property
     def rates(self) -> np.ndarray:
@@ -163,8 +169,10 @@ class GossipNetwork:
         return NodeSubset(((1 << (self.node_count + 1)) - 1) & ~1)
 
     def check_subset(self, subset: NodeSubset | Iterable[int]) -> NodeSubset:
-        """Validate subset ids against this network and return the NodeSubset."""
+        """Validate a non-empty subset against this network and return the NodeSubset."""
         s = as_subset(subset)
+        if not s:
+            raise ValueError("subset must be non-empty")
         if s.mask >> (self.node_count + 1):
             bad = next(i for i in s.ids() if i > self.node_count)
             raise NetworkConfigError(f"subset node id {bad} does not exist (node count {self.node_count})")

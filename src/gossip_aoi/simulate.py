@@ -10,6 +10,9 @@ Two estimators are provided for the steady-state age moments of a subset:
 ``estimate_moments_replication`` (one observation per independent replica at
 a fixed horizon) and ``estimate_moments_timeavg`` (exact per-segment time
 integrals along a single long trajectory, batch-means standard errors).
+A replica block is one draw of ``montecarlo.sample_moments``: it returns
+each subset's ages at the horizon, and the pipeline reduces them in block
+order; replicas the draw left out are the subset's ``pending`` count.
 
 The RNG stream fixes the report bytes.  Each event draws one
 ``rng.exponential(1 / Lambda)`` gap and then one ``rng.random()`` uniform u,
@@ -142,8 +145,6 @@ def pilot_t0(
 ) -> list[float]:
     """Per-replica t_0 from short pilot runs (run each replica until informed)."""
     s = net.check_subset(subset)
-    if not s:
-        raise ValueError("subset must be non-empty")
     montecarlo.check_seed(seed)
     times = []
     for i in range(replicas):
@@ -188,19 +189,15 @@ class ReplicationResult:
     pending: int
 
 
-def _replication_block(
+def _replication_draw(
     net: GossipNetwork,
     subset_ids: tuple[tuple[int, ...], ...],
-    k_max: int,
-    sizes: tuple[int, ...],
     horizon: float,
-    seed: int,
-    block: int,
-) -> list[tuple[np.ndarray, np.ndarray, int]]:
-    """Simulate one replica block; per subset return (power sums, square sums,
-    informed count) over the replicas whose t_0 arrived before the horizon."""
-    size = sizes[block]
-    rng = montecarlo.block_rng(seed, montecarlo.STREAM_REPLICATION, block)
+    rng: np.random.Generator,
+    size: int,
+) -> list[np.ndarray]:
+    """Simulate one replica block; per subset return the ages at the horizon
+    of the replicas whose t_0 arrived before it."""
     cum = net.rate_cumsum
     total = float(cum[-1])
     edge_from = np.array([e.from_node for e in net.edges], dtype=np.int64)
@@ -233,9 +230,7 @@ def _replication_block(
     for ids in subset_ids:
         cols = ts[:, list(ids)]
         informed = (cols > 0.0).all(axis=1)
-        ages = horizon - cols.max(axis=1)[informed]
-        sums, sqsums = montecarlo.power_sums(ages, k_max)
-        out.append((sums, sqsums, int(informed.sum())))
+        out.append(horizon - cols.max(axis=1)[informed])
     return out
 
 
@@ -249,41 +244,20 @@ def replication_results(
     workers: int = 1,
 ) -> dict[NodeSubset, ReplicationResult]:
     """Replication estimates for several subsets sharing one set of replicas."""
-    montecarlo.check_order(k_max)
-    montecarlo.check_seed(seed)
-    checked = []
-    for subset in subsets:
-        s = net.check_subset(subset)
-        if not s:
-            raise ValueError("subset must be non-empty")
-        if s not in checked:
-            checked.append(s)
+    checked = list(dict.fromkeys(map(net.check_subset, subsets)))
     if replicas < 2:
         raise ValueError(f"need at least 2 replicas, got {replicas}")
     if not horizon > 0.0:
         raise ValueError(f"horizon must be positive, got {horizon}")
     _event_rate(net)
-
-    sizes = tuple(montecarlo.block_sizes(replicas, montecarlo.REPLICATION_BLOCK))
-    subset_ids = tuple(s.ids() for s in checked)
-    fn = partial(_replication_block, net, subset_ids, k_max, sizes, horizon, seed)
-    blocks = montecarlo.map_blocks(fn, len(sizes), workers)
-
-    results = {}
-    for i, s in enumerate(checked):
-        sums = np.zeros(k_max)
-        sqsums = np.zeros(k_max)
-        count = 0
-        for blk in blocks:
-            bs, bq, bc = blk[i]
-            sums = sums + bs
-            sqsums = sqsums + bq
-            count += bc
-        estimates = (
-            tuple(montecarlo.moments_from_power_sums(count, sums, sqsums)) if count else ()
-        )
-        results[s] = ReplicationResult(estimates=estimates, replicas=replicas, pending=replicas - count)
-    return results
+    draw = partial(_replication_draw, net, tuple(s.ids() for s in checked), horizon)
+    groups = montecarlo.sample_moments(
+        draw, k_max, replicas, montecarlo.REPLICATION_BLOCK, seed, montecarlo.STREAM_REPLICATION, workers
+    )
+    return {
+        s: ReplicationResult(estimates=tuple(estimates), replicas=replicas, pending=replicas - count)
+        for s, (count, estimates) in zip(checked, groups)
+    }
 
 
 def check_pending(result: ReplicationResult, subset: NodeSubset, horizon: float) -> None:
@@ -345,8 +319,6 @@ def estimate_moments_timeavg(
     montecarlo.check_order(k_max)
     montecarlo.check_seed(seed)
     s = net.check_subset(subset)
-    if not s:
-        raise ValueError("subset must be non-empty")
     if batches < 2:
         raise ValueError(f"need at least 2 batches, got {batches}")
     if burn_in < 0 or not horizon > burn_in:

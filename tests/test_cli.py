@@ -25,16 +25,21 @@ GOLDEN_DOC = (
     '{"from": 1, "to": 2, "rate": 2.0}, {"from": 2, "to": 3, "rate": 1.5}, '
     '{"from": 3, "to": 1, "rate": 0.7}]}'
 )
-# Simulate reports on GOLDEN_DOC at seed 12.  Every event draws one
-# exponential gap and then one uniform edge pick from its Generator, in that
-# order; these bytes pin that contract, so a change to how the stream is
-# consumed (chunked draws, another pick rule, another summation) fails here.
-# Both default rules run the pilot, which goes through ``step``.
+# Reports on GOLDEN_DOC at seed 12.  Every event draws one exponential gap
+# and then one uniform edge pick from its Generator, in that order; these
+# bytes pin that contract, so a change to how the stream is consumed
+# (chunked draws, another pick rule, another summation) fails here.  Both
+# default rules run the pilot, which goes through ``step``.  The fpp and
+# lattice reports span two sample blocks, so they also pin the block-order
+# reduction of the Monte-Carlo pipeline; compare runs all three routes.
 GOLDEN_SHA256 = {
     "timeavg.json": "8900064eefc9cfba6c1767aee7dac5a13cd04255cf4c3dc521faf780ea3d810c",
     "timeavg.csv": "7ce591fde0f9f64688fc354c5c7915262d4e226c3f94516b8a79f70c919d9cd0",
     "trace.csv": "b27591fec5b0dabe12a44024127bdb121eee7d15a9526d9981efb88be2655e78",
     "replication.json": "fd7ad5acb7b73b47d717d834d31b6cc9ce4fe6b60dd5dae28eec5d9947f28172",
+    "fpp.json": "4e356e65333be27f8fadaecdc01a87d1282476e49ba364c88ab54c0a1d00137c",
+    "lattice.json": "f9860f154a9b4794f0b73c71fd314d959fa715eaaa4231e8429b1d8c54e4573e",
+    "compare.csv": "2a2023237129fa8e3d23b37f7c92eb4ab5007abf0781149b53a9965c6c49f7d2",
 }
 
 
@@ -173,11 +178,17 @@ def test_trace_is_timeavg_only(capsys, line_path, tmp_path):
 def test_simulate_reports_keep_their_golden_bytes(tmp_path, monkeypatch):
     (tmp_path / "golden.json").write_text(GOLDEN_DOC)
     monkeypatch.chdir(tmp_path)   # the report echoes the network path
-    base = ["simulate", "--network", "golden.json", "--subset", "2,3", "--k", "3", "--seed", "12"]
+    net = ["--network", "golden.json", "--subset", "2,3", "--k", "3", "--seed", "12"]
+    base = ["simulate", *net]
     timeavg = base + ["--mode", "timeavg", "--horizon", "400"]
     assert cli.main(timeavg + ["--trace", "trace.csv", "--out", "timeavg.json"]) == 0
     assert cli.main(timeavg + ["--burn-in", "5", "--format", "csv", "--out", "timeavg.csv"]) == 0
     assert cli.main(base + ["--replicas", "3000", "--out", "replication.json"]) == 0
+    assert cli.main(["fpp", *net, "--samples", "40000", "--out", "fpp.json"]) == 0
+    assert cli.main(["lattice", "--d", "2", "--ell", "2", "--samples", "40000", "--seed", "12",
+                     "--out", "lattice.json"]) == 0
+    assert cli.main(["compare", *net, "--samples", "40000", "--replicas", "3000",
+                     "--format", "csv", "--out", "compare.csv"]) == 0
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in GOLDEN_SHA256}
     assert digests == GOLDEN_SHA256

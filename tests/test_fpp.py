@@ -13,6 +13,7 @@ from gossip_aoi import (
     UnreachableTargetError,
     build_box,
     estimate_moments,
+    estimate_moments_subsets,
     solve_moments,
 )
 from gossip_aoi.fpp import exp_weights, relax
@@ -81,6 +82,15 @@ def test_estimates_bit_identical_across_runs_and_workers():
     again = estimate_moments(net, [2], 3, 70_000, seed=42)
     spread = estimate_moments(net, [2], 3, 70_000, seed=42, workers=3)
     assert base == again == spread
+
+
+def test_subsets_share_one_sample_set_and_dedupe():
+    net = line_network(1.0, 2.0)
+    a, b = net.check_subset([2]), net.check_subset([1, 2])
+    shared = estimate_moments_subsets(net, [a, [1, 2], [2]], 2, 40_000, seed=43)
+    assert list(shared) == [a, b]
+    assert shared[a] == estimate_moments(net, a, 2, 40_000, seed=43)
+    assert shared[b] == estimate_moments(net, b, 2, 40_000, seed=43)
 
 
 def test_unreachable_subset_is_reported():

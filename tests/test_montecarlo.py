@@ -15,6 +15,7 @@ from gossip_aoi.montecarlo import (
     map_blocks,
     moments_from_power_sums,
     power_sums,
+    sample_moments,
 )
 
 
@@ -85,3 +86,29 @@ def test_single_observation_has_infinite_error():
     est = moments_from_power_sums(1, np.array([2.0]), np.array([4.0]))[0]
     assert est.mean == 2.0
     assert est.std_error == math.inf
+
+
+def _halves(rng: np.random.Generator, size: int) -> list[np.ndarray]:
+    """Three groups: every uniform, the ones below 1/2, and none."""
+    x = rng.random(size)
+    return [x, x[x < 0.5], x[:0]]
+
+
+def test_sample_moments_reduces_kept_draws_in_block_order():
+    one = sample_moments(_halves, 2, 10, 4, seed=5, stream=9, workers=1)
+    assert sample_moments(_halves, 2, 10, 4, seed=5, stream=9, workers=2) == one
+    x = np.concatenate([block_rng(5, 9, b).random(n) for b, n in enumerate([4, 4, 2])])
+    for (count, estimates), kept in zip(one, [x, x[x < 0.5]]):
+        assert count == len(kept) == estimates[0].sample_count
+        for k, est in enumerate(estimates, start=1):
+            assert est.mean == pytest.approx((kept**k).mean(), rel=1e-12)
+    assert one[2] == (0, [])
+
+
+def test_sample_moments_checks_order_seed_and_total():
+    with pytest.raises(ValueError, match="moment order"):
+        sample_moments(_halves, 0, 10, 4, seed=5, stream=9)
+    with pytest.raises(ValueError, match="seed"):
+        sample_moments(_halves, 1, 10, 4, seed=-1, stream=9)
+    with pytest.raises(ValueError, match="sample count"):
+        sample_moments(_halves, 1, 0, 4, seed=5, stream=9)

@@ -12,7 +12,14 @@ from gossip_aoi import (
     GossipNetwork,
     NetworkConfigError,
     NodeSubset,
+    estimate_moments,
+    estimate_moments_replication,
+    estimate_moments_subsets,
+    estimate_moments_timeavg,
     load_network,
+    pilot_t0,
+    replication_results,
+    solve_moments,
 )
 from helpers import (
     all_subsets,
@@ -114,6 +121,25 @@ def test_check_subset_rejects_ids_outside_network():
         net.check_subset([3])
     with pytest.raises(ValueError, match="source"):
         net.check_subset([0])
+
+
+SUBSET_TAKERS = {
+    "check_subset": lambda net, s: net.check_subset(s),
+    "solve_moments": lambda net, s: solve_moments(net, s, 1),
+    "estimate_moments": lambda net, s: estimate_moments(net, s, 1, 100),
+    "estimate_moments_subsets": lambda net, s: estimate_moments_subsets(net, [[1], s], 1, 100),
+    "pilot_t0": lambda net, s: pilot_t0(net, s),
+    "replication_results": lambda net, s: replication_results(net, [[1], s], 1, 100, 1.0),
+    "estimate_moments_replication": lambda net, s: estimate_moments_replication(net, s, 1, 100, 1.0),
+    "estimate_moments_timeavg": lambda net, s: estimate_moments_timeavg(net, s, 1, 10.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("empty", [[], NodeSubset(0)], ids=["ids", "mask"])
+@pytest.mark.parametrize("take", SUBSET_TAKERS.values(), ids=SUBSET_TAKERS.keys())
+def test_every_subset_taker_rejects_the_empty_subset(take, empty):
+    with pytest.raises(ValueError, match="subset must be non-empty"):
+        take(line_network(1.0, 2.0), empty)
 
 
 def test_rate_into_examples():

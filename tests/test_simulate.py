@@ -284,6 +284,17 @@ def test_replication_counts_and_rejects_pending_replicas():
         estimate_moments_replication(net, [2], 1, 2000, 2.0, seed=62)
 
 
+def test_replication_subsets_share_one_replica_set_and_dedupe():
+    net = line_network(1.0, 2.0)
+    a, b = net.check_subset([2]), net.check_subset([1, 2])
+    shared = replication_results(net, [a, [1, 2], [2]], 2, 20_000, 30.0, seed=65)
+    assert list(shared) == [a, b]
+    for s in (a, b):
+        alone = estimate_moments_replication(net, s, 2, 20_000, 30.0, seed=65)
+        assert list(shared[s].estimates) == alone
+        assert shared[s].replicas == 20_000
+
+
 def test_default_horizon_is_three_times_the_worst_pilot_t0():
     net = line_network(1.0, 2.0)
     assert default_horizon(net, [2], seed=64) == 3.0 * max(pilot_t0(net, [2], seed=64))
