@@ -40,16 +40,12 @@ from .simulate import (
     PendingReplicasError,
     ReplicationResult,
     SimEvent,
-    SimState,
     age_power_integral,
     default_burn_in,
-    detect_t0,
     estimate_moments_replication,
     estimate_moments_timeavg,
-    new_state,
     pilot_t0,
     replication_results,
-    step,
 )
 
 __version__ = "0.1.0"
@@ -67,7 +63,6 @@ __all__ = [
     "PendingReplicasError",
     "ReplicationResult",
     "SimEvent",
-    "SimState",
     "TimeConstantEstimate",
     "UnreachableTargetError",
     "age_power_integral",
@@ -75,7 +70,6 @@ __all__ = [
     "box_recursion",
     "build_box",
     "default_burn_in",
-    "detect_t0",
     "estimate_moments",
     "estimate_moments_replication",
     "estimate_moments_subsets",
@@ -83,11 +77,9 @@ __all__ = [
     "expected_age",
     "load_network",
     "mc_boundary_passage",
-    "new_state",
     "pilot_t0",
     "replication_results",
     "solve_all",
     "solve_moments",
-    "step",
     "time_constant_estimate",
 ]

@@ -57,13 +57,10 @@ def _parse_subset(text: str) -> tuple[int, ...]:
 
 
 def _default_workers() -> int:
-    raw = os.environ.get(WORKERS_ENV)
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            pass
-    return 1
+    raw = os.environ.get(WORKERS_ENV) or "1"
+    if not raw.isdecimal() or int(raw) < 1:
+        raise ValueError(f"${WORKERS_ENV} must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -287,6 +284,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     net = _load(args.network)
     seed = check_seed(args.seed)
     subset = net.check_subset(args.subset)
+    simulate.check_replication(args.replicas, args.horizon)
     horizon = args.horizon
     if horizon is None:
         horizon = simulate.default_horizon(net, subset, seed=seed)
@@ -327,10 +325,10 @@ _HANDLERS = {
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "workers", None) is None:
-        args.workers = _default_workers()
     start = time.perf_counter()
     try:
+        if getattr(args, "workers", None) is None:
+            args.workers = _default_workers()
         code = _HANDLERS[args.command](args)
     except (NetworkConfigError, ValueError, RuntimeError) as exc:
         print(f"{TOOL_NAME}: error: {exc}", file=sys.stderr)

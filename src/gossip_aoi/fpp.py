@@ -19,9 +19,11 @@ cell; ``exp_weights`` transposes them into the node-major buffer as it
 draws.  The lattice sampler uses the same two functions with unit rates.
 
 Each block is one draw of ``montecarlo.sample_moments``: it returns every
-subset's finite passage times, and the pipeline turns them into power sums
-and adds those in block order.  A subset that kept fewer than all samples
-is not reachable from the source, and raises ``UnreachableTargetError``.
+subset's passage times, and the pipeline turns them into power sums and
+adds those in block order.  Reachability is a property of the graph, since
+every weight is finite: a subset with no member reachable from the source
+raises ``UnreachableTargetError`` before any block is drawn, and every
+other subset's passage times are finite.
 """
 
 from __future__ import annotations
@@ -42,7 +44,8 @@ DRAW_ROWS = 256
 
 
 class UnreachableTargetError(RuntimeError):
-    """Raised when sampled passage times are infinite (no path from the source)."""
+    """Raised when no subset member has a path from the source, so every
+    passage time is infinite."""
 
 
 def exp_weights(rng: np.random.Generator, samples: int, rates: np.ndarray) -> np.ndarray:
@@ -107,14 +110,9 @@ def relax(
 def _fpp_draw(
     net: GossipNetwork, subset_ids: tuple[tuple[int, ...], ...], rng: np.random.Generator, size: int
 ) -> list[np.ndarray]:
-    """Relax one weight block; per subset return its finite passage times."""
+    """Relax one weight block; per subset return its passage times."""
     dist = relax(net.in_arcs, exp_weights(rng, size, net.rates), 0)
-    out = []
-    for ids in subset_ids:
-        passage = dist[list(ids)].min(axis=0)
-        finite = np.isfinite(passage)
-        out.append(passage if finite.all() else passage[finite])
-    return out
+    return [dist[list(ids)].min(axis=0) for ids in subset_ids]
 
 
 def estimate_moments_subsets(
@@ -127,19 +125,21 @@ def estimate_moments_subsets(
 ) -> dict[NodeSubset, list[MomentEstimate]]:
     """Empirical passage-time moments for several subsets sharing one sample set."""
     checked = list(dict.fromkeys(map(net.check_subset, subsets)))
+    # Bad arguments are reported before reachability, as the pipeline would.
+    montecarlo.check_order(k_max)
+    montecarlo.check_seed(seed)
+    montecarlo.block_sizes(samples, montecarlo.FPP_BLOCK)
+    for s in checked:
+        if not s.mask & net.reachable:
+            raise UnreachableTargetError(
+                f"subset {s}: {samples} of {samples} samples have infinite passage time; "
+                "no member is reachable from the source"
+            )
     draw = partial(_fpp_draw, net, tuple(s.ids() for s in checked))
     groups = montecarlo.sample_moments(
         draw, k_max, samples, montecarlo.FPP_BLOCK, seed, montecarlo.STREAM_FPP, workers
     )
-    results = {}
-    for s, (count, estimates) in zip(checked, groups):
-        if count < samples:
-            raise UnreachableTargetError(
-                f"subset {s}: {samples - count} of {samples} samples have infinite passage time; "
-                "no member is reachable from the source"
-            )
-        results[s] = estimates
-    return results
+    return {s: estimates for s, (_, estimates) in zip(checked, groups)}
 
 
 def estimate_moments(

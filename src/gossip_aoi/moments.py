@@ -27,7 +27,6 @@ for bit with the memoized recursion that the tests keep as the reference.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -62,17 +61,12 @@ class MomentTable:
     def csv_header(self) -> list[str]:
         return ["subset"] + [f"v{k}" for k in range(1, self.k_max + 1)]
 
-    def csv_rows(self) -> list[list[str]]:
-        return [
-            [label] + [_render_value(v) for v in self.entries[mask][1:]]
-            for mask, label in self._labels()
-        ]
+    def csv_rows(self) -> list[list[str | float]]:
+        """Rows of label and v^1..v^K; the renderers write +inf as ``inf``."""
+        return [[label, *self.entries[mask][1:]] for mask, label in self._labels()]
 
-    def json_map(self) -> dict[str, list[float | str]]:
-        return {
-            label: [_render_value_json(v) for v in self.entries[mask][1:]]
-            for mask, label in self._labels()
-        }
+    def json_map(self) -> dict[str, list[float]]:
+        return {label: list(self.entries[mask][1:]) for mask, label in self._labels()}
 
     def _labels(self) -> list[tuple[int, str]]:
         """(mask, "i,j,...") in ascending mask order.
@@ -93,14 +87,6 @@ class MomentTable:
             labels[mask] = label
             out.append((mask, label))
         return out
-
-
-def _render_value(v: float) -> str:
-    return "inf" if math.isinf(v) else repr(v)
-
-
-def _render_value_json(v: float) -> float | str:
-    return "inf" if math.isinf(v) else v
 
 
 class MomentSolver:

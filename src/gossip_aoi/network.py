@@ -160,6 +160,22 @@ class GossipNetwork:
         """``rate_cumsum`` as Python floats, for one bisection per simulated event."""
         return tuple(self.rate_cumsum.tolist())
 
+    @cached_property
+    def reachable(self) -> int:
+        """Mask of the nodes with a path from the source (bit 0 included).
+
+        Rates are positive, so a node outside it is never informed and has an
+        infinite passage time in every sample.
+        """
+        mask = 1
+        queue = [0]
+        for u in queue:   # breadth first: the loop reaches what it appends
+            for v, _, _ in self.out_edges[u]:
+                if not mask >> v & 1:
+                    mask |= 1 << v
+                    queue.append(v)
+        return mask
+
     @property
     def total_rate(self) -> float:
         """Sum of all edge rates (the superposed event rate)."""

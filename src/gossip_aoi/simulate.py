@@ -17,13 +17,15 @@ order; replicas the draw left out are the subset's ``pending`` count.
 The RNG stream fixes the report bytes.  Each event draws one
 ``rng.exponential(1 / Lambda)`` gap and then one ``rng.random()`` uniform u,
 and picks the edge whose cumulative-rate interval holds u * Lambda (see
-``_pick``).  ``step`` and the time-average loop draw that pair as scalars
-from one Generator; the replication kernel draws it as arrays, one entry per
-live replica.  A change to the order or the number of draws (chunked draws
-included), to the pick rule or to the order of the sums changes the
-reports.  The time-average loop holds its state in plain lists and floats,
-binds both draws to locals and calls the one delivery rule, ``_deliver``,
-directly, so an event costs little more than its two draws.
+``_pick``).  The pilot and the time-average loop draw that pair as scalars
+from one Generator per trajectory; the replication kernel draws it as
+arrays, one entry per live replica.  A change to the order or the number of
+draws (chunked draws included), to the pick rule or to the order of the
+sums changes the reports.  Both scalar loops hold their state in plain
+lists and floats, bind both draws to locals and call the one delivery rule,
+``_deliver``, directly, so an event costs little more than its two draws.
+A trajectory's own ``informed`` list gives its t_0, the time the last
+subset member first held source-originated information.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import numpy as np
 
 from . import montecarlo
 from .montecarlo import MomentEstimate
-from .network import Edge, GossipNetwork, NodeSubset, as_subset
+from .network import Edge, GossipNetwork, NodeSubset
 
 PILOT_REPLICAS = 32
 TIMEAVG_BATCHES = 30
@@ -51,29 +53,12 @@ class PendingReplicasError(RuntimeError):
 
 
 class SimEvent(NamedTuple):
+    """One applied event of a trajectory, as ``trace`` records it."""
+
     time: float
     edge: Edge
     old_timestamp: float
     new_timestamp: float
-
-
-@dataclass
-class SimState:
-    """Mutable state of one trajectory: clock, per-node timestamps, and the
-    time each node first held source-originated information (nan = not yet)."""
-
-    now: float
-    timestamps: list[float]
-    informed_at: list[float]
-
-    @property
-    def received_from_source(self) -> list[bool]:
-        return [not math.isnan(t) for t in self.informed_at]
-
-
-def new_state(net: GossipNetwork) -> SimState:
-    n = net.node_count + 1
-    return SimState(now=0.0, timestamps=[0.0] * n, informed_at=[math.nan] * n)
 
 
 def _event_rate(net: GossipNetwork) -> float:
@@ -112,27 +97,6 @@ def _deliver(ts: list[float], informed: list[float], u: int, v: int, time: float
     return old, new
 
 
-def step(state: SimState, net: GossipNetwork, rng: np.random.Generator) -> SimEvent:
-    """Advance by one event and apply it."""
-    total = _event_rate(net)
-    time = state.now + rng.exponential(1.0 / total)
-    edge = net.edges[_pick(net.cumulative_rates, rng.random() * total)]
-    old, new = _deliver(state.timestamps, state.informed_at, edge.from_node, edge.to_node, time)
-    state.now = time
-    return SimEvent(time=time, edge=edge, old_timestamp=old, new_timestamp=new)
-
-
-def detect_t0(state: SimState, subset: NodeSubset | Iterable[int]) -> float | None:
-    """Time the last subset member first became source-informed, None if pending."""
-    s = as_subset(subset)
-    if not s:
-        raise ValueError("subset must be non-empty")
-    times = [state.informed_at[u] for u in s]
-    if any(math.isnan(t) for t in times):
-        return None
-    return max(times)
-
-
 # ---- pilot runs -----------------------------------------------------------
 
 
@@ -143,18 +107,38 @@ def pilot_t0(
     seed: int = 0,
     event_cap: int = 1_000_000,
 ) -> list[float]:
-    """Per-replica t_0 from short pilot runs (run each replica until informed)."""
+    """Per-replica t_0 from short pilot runs (run each replica until informed).
+
+    A subset with a member that has no path from the source is never fully
+    informed, and fails at once.
+    """
     s = net.check_subset(subset)
     montecarlo.check_seed(seed)
+    total = _event_rate(net)
+    cut_off = s.mask & ~net.reachable
+    if cut_off:
+        raise PendingReplicasError(
+            f"pilot: subset {s} is unreachable; nodes {NodeSubset(cut_off)} have no path "
+            "from the source"
+        )
+    mean_gap = 1.0 / total
+    cumulative = net.cumulative_rates
+    senders = [e.from_node for e in net.edges]
+    receivers = [e.to_node for e in net.edges]
     times = []
     for i in range(replicas):
         rng = montecarlo.block_rng(seed, montecarlo.STREAM_PILOT, i)
-        state = new_state(net)
+        exponential, random = rng.exponential, rng.random
+        ts = [0.0] * (net.node_count + 1)
+        informed = [math.nan] * (net.node_count + 1)
         remaining = s.mask
+        now = 0.0
         for _ in range(event_cap):
-            event = step(state, net, rng)
-            v = event.edge.to_node
-            if remaining >> v & 1 and not math.isnan(state.informed_at[v]):
+            now += exponential(mean_gap)
+            idx = _pick(cumulative, random() * total)
+            v = receivers[idx]
+            _deliver(ts, informed, senders[idx], v, now)
+            if remaining >> v & 1 and not math.isnan(informed[v]):
                 remaining &= ~(1 << v)
                 if remaining == 0:
                     break
@@ -162,7 +146,7 @@ def pilot_t0(
             raise PendingReplicasError(
                 f"pilot replica {i}: subset {s} still uninformed after {event_cap} events"
             )
-        times.append(state.now)
+        times.append(now)
     return times
 
 
@@ -204,27 +188,19 @@ def _replication_draw(
     edge_to = np.array([e.to_node for e in net.edges], dtype=np.int64)
     last = len(net.edges) - 1
 
-    t = np.zeros(size)
     ts = np.zeros((size, net.node_count + 1))
-    active = np.ones(size, dtype=bool)
-    while True:
-        rows = np.flatnonzero(active)
-        if rows.size == 0:
-            break
-        t_new = t[rows] + rng.exponential(1.0 / total, rows.size)
+    rows = np.arange(size)    # live replicas, ascending; t holds their clocks
+    t = np.zeros(size)
+    while rows.size:
+        t = t + rng.exponential(1.0 / total, rows.size)
         eidx = np.minimum(np.searchsorted(cum, rng.random(rows.size) * total, side="right"), last)
-        live = t_new < horizon
-        crossed = rows[~live]
-        t[crossed] = horizon
-        active[crossed] = False
-        arows = rows[live]
-        if arows.size:
-            tn = t_new[live]
-            u = edge_from[eidx[live]]
-            v = edge_to[eidx[live]]
-            sent = np.where(u == 0, tn, ts[arows, u])
-            ts[arows, v] = np.maximum(ts[arows, v], sent)
-            t[arows] = tn
+        live = t < horizon
+        if not live.all():
+            rows, t, eidx = rows[live], t[live], eidx[live]
+        u = edge_from[eidx]
+        v = edge_to[eidx]
+        sent = np.where(u == 0, t, ts[rows, u])
+        ts[rows, v] = np.maximum(ts[rows, v], sent)
 
     out = []
     for ids in subset_ids:
@@ -232,6 +208,14 @@ def _replication_draw(
         informed = (cols > 0.0).all(axis=1)
         out.append(horizon - cols.max(axis=1)[informed])
     return out
+
+
+def check_replication(replicas: int, horizon: float | None) -> None:
+    """Reject a replica count below 2, or a horizon that is given and not positive."""
+    if replicas < 2:
+        raise ValueError(f"need at least 2 replicas, got {replicas}")
+    if horizon is not None and not horizon > 0.0:
+        raise ValueError(f"horizon must be positive, got {horizon}")
 
 
 def replication_results(
@@ -245,10 +229,7 @@ def replication_results(
 ) -> dict[NodeSubset, ReplicationResult]:
     """Replication estimates for several subsets sharing one set of replicas."""
     checked = list(dict.fromkeys(map(net.check_subset, subsets)))
-    if replicas < 2:
-        raise ValueError(f"need at least 2 replicas, got {replicas}")
-    if not horizon > 0.0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
+    check_replication(replicas, horizon)
     _event_rate(net)
     draw = partial(_replication_draw, net, tuple(s.ids() for s in checked), horizon)
     groups = montecarlo.sample_moments(
@@ -350,8 +331,8 @@ def estimate_moments_timeavg(
     senders = [e.from_node for e in edges]
     receivers = [e.to_node for e in edges]
     member = [v in s for v in range(net.node_count + 1)]
-    state = new_state(net)
-    ts, informed = state.timestamps, state.informed_at
+    ts = [0.0] * (net.node_count + 1)
+    informed = [math.nan] * (net.node_count + 1)
     now = 0.0
     held = 0.0        # max timestamp over the subset, constant between events
     seg_start = 0.0
@@ -371,14 +352,13 @@ def estimate_moments_timeavg(
             held = new
             seg_start = now
 
-    t0 = detect_t0(state, s)
-    if t0 is None:
+    if any(math.isnan(informed[u]) for u in s):
         warnings.warn(
             f"subset {s} never became source-informed within the horizon {horizon}",
             RuntimeWarning,
             stacklevel=2,
         )
-    elif t0 > burn_in:
+    elif (t0 := max(informed[u] for u in s)) > burn_in:
         warnings.warn(
             f"burn-in {burn_in} ends before t_0 = {t0:.6g}; early-window bias likely",
             RuntimeWarning,

@@ -15,12 +15,12 @@ from gossip_aoi.lattice import RECURSION_CAP, Vertex
 from gossip_aoi.moments import DEFAULT_MEMO_LIMIT, _memo_limit_error
 from gossip_aoi.montecarlo import MomentEstimate, check_order
 from gossip_aoi.simulate import (
+    PILOT_REPLICAS,
     TIMEAVG_BATCHES,
+    PendingReplicasError,
     SimEvent,
-    SimState,
     age_power_integral,
-    detect_t0,
-    new_state,
+    estimate_moments_timeavg,
 )
 
 RATE_LOW = 0.2
@@ -398,9 +398,40 @@ def reference_box_recursion(box: LatticeBox, cluster: Iterable[Vertex]) -> float
 
 # ---- event-driven simulation: the per-event reference ----------------------
 #
-# The draw, the delivery and the time-average loop as they stood before the
-# simulator's list-based loop; the package must consume the RNG stream and
-# add up the same floats exactly as these do.
+# The trajectory state, the draw, the delivery, the pilot and the
+# time-average loop as they stood before the simulator's list-based loops;
+# the package must consume the RNG stream and add up the same floats exactly
+# as these do.
+
+
+@dataclass
+class SimState:
+    """Mutable state of one trajectory: clock, per-node timestamps, and the
+    time each node first held source-originated information (nan = not yet)."""
+
+    now: float
+    timestamps: list[float]
+    informed_at: list[float]
+
+    @property
+    def received_from_source(self) -> list[bool]:
+        return [not math.isnan(t) for t in self.informed_at]
+
+
+def new_state(net: GossipNetwork) -> SimState:
+    n = net.node_count + 1
+    return SimState(now=0.0, timestamps=[0.0] * n, informed_at=[math.nan] * n)
+
+
+def detect_t0(state: SimState, subset: NodeSubset | Iterable[int]) -> float | None:
+    """Time the last subset member first became source-informed, None if pending."""
+    s = as_subset(subset)
+    if not s:
+        raise ValueError("subset must be non-empty")
+    times = [state.informed_at[u] for u in s]
+    if any(math.isnan(t) for t in times):
+        return None
+    return max(times)
 
 
 def _draw(state: SimState, net: GossipNetwork, rng: np.random.Generator) -> tuple[float, int]:
@@ -424,6 +455,39 @@ def _apply(state: SimState, net: GossipNetwork, edge_index: int, time: float) ->
         state.informed_at[v] = time
     state.now = time
     return SimEvent(time=time, edge=edge, old_timestamp=old, new_timestamp=new)
+
+
+def reference_step(state: SimState, net: GossipNetwork, rng: np.random.Generator) -> SimEvent:
+    """Advance by one event and apply it."""
+    t_next, idx = _draw(state, net, rng)
+    return _apply(state, net, idx, t_next)
+
+
+def reference_pilot_t0(
+    net: GossipNetwork,
+    subset: NodeSubset | Iterable[int],
+    replicas: int = PILOT_REPLICAS,
+    seed: int = 0,
+    event_cap: int = 1_000_000,
+) -> list[float]:
+    """Per-replica t_0 from pilot runs of one ``reference_step`` per event;
+    the reference for ``pilot_t0`` on reachable subsets."""
+    s = net.check_subset(subset)
+    montecarlo.check_seed(seed)
+    times = []
+    for i in range(replicas):
+        rng = montecarlo.block_rng(seed, montecarlo.STREAM_PILOT, i)
+        state = new_state(net)
+        for _ in range(event_cap):
+            reference_step(state, net, rng)
+            if detect_t0(state, s) is not None:
+                break
+        else:
+            raise PendingReplicasError(
+                f"pilot replica {i}: subset {s} still uninformed after {event_cap} events"
+            )
+        times.append(detect_t0(state, s))
+    return times
 
 
 def run_until(
@@ -533,3 +597,15 @@ def reference_timeavg(
         se = float(col.std(ddof=1) / math.sqrt(batches))
         estimates.append(MomentEstimate(k=k, mean=mean, std_error=se, sample_count=batches))
     return estimates
+
+
+def timeavg_trace(net: GossipNetwork, events: int, seed: int) -> list[SimEvent]:
+    """The first ``events`` events that ``estimate_moments_timeavg`` applies
+    on a trajectory at ``seed``; its horizon holds ten standard deviations
+    more events on average, and the burn-in, half of it, lies past t_0."""
+    trace: list[SimEvent] = []
+    horizon = (events + 10.0 * math.sqrt(events)) / net.total_rate
+    estimate_moments_timeavg(net, net.full_subset(), 1, horizon, horizon / 2, seed=seed, trace=trace)
+    if len(trace) < events:
+        raise ValueError(f"trace holds {len(trace)} events, wanted {events}")
+    return trace[:events]

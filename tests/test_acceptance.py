@@ -22,13 +22,18 @@ from gossip_aoi import (
     cli,
     estimate_moments_subsets,
     mc_boundary_passage,
-    new_state,
     pilot_t0,
     replication_results,
     solve_moments,
-    step,
 )
-from helpers import all_subsets, first_moment, line_network, random_network, star_network
+from helpers import (
+    all_subsets,
+    first_moment,
+    line_network,
+    random_network,
+    star_network,
+    timeavg_trace,
+)
 
 
 def verdict(number: int, label: str, failures: list[str], started: float, limit: float) -> None:
@@ -186,13 +191,10 @@ def test_criterion_5_next_event_law():
         node_count=3,
         edges=(Edge(0, 1, 0.4), Edge(0, 2, 1.1), Edge(1, 2, 2.0), Edge(2, 3, 1.5)),
     )
-    rng = np.random.default_rng(105)
-    state = new_state(net)
+    n = 1_000_000
     counts: Counter[tuple[int, int]] = Counter()
     times = [0.0]
-    n = 1_000_000
-    for _ in range(n):
-        event = step(state, net, rng)
+    for event in timeavg_trace(net, n, seed=105):
         counts[event.edge.from_node, event.edge.to_node] += 1
         times.append(event.time)
 

@@ -10,7 +10,7 @@ import math
 
 import pytest
 
-from gossip_aoi import cli, simulate
+from gossip_aoi import cli, fpp, moments, simulate
 from gossip_aoi.moments import MomentTable
 from gossip_aoi.reporting import json_ready, render_csv, render_json
 
@@ -29,9 +29,11 @@ GOLDEN_DOC = (
 # and then one uniform edge pick from its Generator, in that order; these
 # bytes pin that contract, so a change to how the stream is consumed
 # (chunked draws, another pick rule, another summation) fails here.  Both
-# default rules run the pilot, which goes through ``step``.  The fpp and
-# lattice reports span two sample blocks, so they also pin the block-order
-# reduction of the Monte-Carlo pipeline; compare runs all three routes.
+# default rules run the pilot, whose scalar loop draws like the time
+# average's.  The fpp and lattice reports span two sample blocks, so they
+# also pin the block-order reduction of the Monte-Carlo pipeline; compare
+# runs all three routes.  The solve tables on LONELY_DOC pin how an
+# infinite moment is written in either format.
 GOLDEN_SHA256 = {
     "timeavg.json": "8900064eefc9cfba6c1767aee7dac5a13cd04255cf4c3dc521faf780ea3d810c",
     "timeavg.csv": "7ce591fde0f9f64688fc354c5c7915262d4e226c3f94516b8a79f70c919d9cd0",
@@ -40,6 +42,8 @@ GOLDEN_SHA256 = {
     "fpp.json": "4e356e65333be27f8fadaecdc01a87d1282476e49ba364c88ab54c0a1d00137c",
     "lattice.json": "f9860f154a9b4794f0b73c71fd314d959fa715eaaa4231e8429b1d8c54e4573e",
     "compare.csv": "2a2023237129fa8e3d23b37f7c92eb4ab5007abf0781149b53a9965c6c49f7d2",
+    "table.json": "c847515e2b4b83937fc8a6f2369322d165d66acdf75d46df3c2a5aa445bf479e",
+    "table.csv": "5967d98da46ebdb5b1370a9a31578561870f74352d55a06ae4b9ac8f78c4a324",
 }
 
 
@@ -177,6 +181,7 @@ def test_trace_is_timeavg_only(capsys, line_path, tmp_path):
 
 def test_simulate_reports_keep_their_golden_bytes(tmp_path, monkeypatch):
     (tmp_path / "golden.json").write_text(GOLDEN_DOC)
+    (tmp_path / "lonely.json").write_text(LONELY_DOC)
     monkeypatch.chdir(tmp_path)   # the report echoes the network path
     net = ["--network", "golden.json", "--subset", "2,3", "--k", "3", "--seed", "12"]
     base = ["simulate", *net]
@@ -189,6 +194,9 @@ def test_simulate_reports_keep_their_golden_bytes(tmp_path, monkeypatch):
                      "--out", "lattice.json"]) == 0
     assert cli.main(["compare", *net, "--samples", "40000", "--replicas", "3000",
                      "--format", "csv", "--out", "compare.csv"]) == 0
+    table = ["solve", "--network", "lonely.json", "--k", "3", "--seed", "12"]
+    assert cli.main(table + ["--out", "table.json"]) == 0
+    assert cli.main(table + ["--format", "csv", "--out", "table.csv"]) == 0
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in GOLDEN_SHA256}
     assert digests == GOLDEN_SHA256
@@ -215,6 +223,23 @@ def test_compare_line_network_passes(capsys, line_path):
     assert [row["solver"] for row in rows] == [1.5, 3.5]
     assert all(row["passed"] for row in rows)
     assert all(abs(row["fpp_z"]) <= 4 and abs(row["sim_z"]) <= 4 for row in rows)
+
+
+@pytest.mark.parametrize("option, message", [
+    (["--replicas", "1"], "need at least 2 replicas, got 1"),
+    (["--horizon", "-1"], "horizon must be positive, got -1.0"),
+], ids=["replicas", "horizon"])
+def test_compare_rejects_replicas_and_horizon_before_any_work(capsys, line_path, monkeypatch,
+                                                              option, message):
+    def refuse(*args, **kwargs):
+        raise AssertionError("compare started work before checking its inputs")
+
+    monkeypatch.setattr(simulate, "pilot_t0", refuse)
+    monkeypatch.setattr(moments, "solve_moments", refuse)
+    monkeypatch.setattr(fpp, "estimate_moments", refuse)
+    code = cli.main(["compare", "--network", line_path, "--subset", "2", *option])
+    assert code == 2
+    assert capsys.readouterr().err == f"gossip-aoi: error: {message}\n"
 
 
 def test_compare_fails_when_the_bar_is_impossible(capsys, line_path):
@@ -261,6 +286,16 @@ def test_workers_env_sets_the_default(line_path, tmp_path, monkeypatch):
     monkeypatch.setenv("GOSSIP_AOI_WORKERS", "2")
     assert cli.main(argv + ["--out", str(via_env)]) == 0
     assert explicit.read_bytes() == via_env.read_bytes()
+
+
+@pytest.mark.parametrize("raw", ["0", "-3", "abc"])
+def test_workers_env_must_be_a_positive_integer(capsys, line_path, monkeypatch, raw):
+    monkeypatch.setenv("GOSSIP_AOI_WORKERS", raw)
+    code = cli.main(["solve", "--network", line_path, "--subset", "2"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"gossip-aoi: error: $GOSSIP_AOI_WORKERS must be a positive integer, got {raw!r}\n"
+    )
 
 
 def test_render_json_handles_infinity_and_sorts_keys():

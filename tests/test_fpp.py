@@ -14,6 +14,7 @@ from gossip_aoi import (
     build_box,
     estimate_moments,
     estimate_moments_subsets,
+    montecarlo,
     solve_moments,
 )
 from gossip_aoi.fpp import exp_weights, relax
@@ -93,10 +94,20 @@ def test_subsets_share_one_sample_set_and_dedupe():
     assert shared[b] == estimate_moments(net, b, 2, 40_000, seed=43)
 
 
-def test_unreachable_subset_is_reported():
+def test_unreachable_subset_is_reported(monkeypatch):
     net = GossipNetwork(node_count=2, edges=(Edge(0, 1, 1.0),))
-    with pytest.raises(UnreachableTargetError, match=r"\{2\}"):
+    assert estimate_moments(net, [1, 2], 1, 1000, seed=0)[0].sample_count == 1000
+
+    def refuse(*cell):
+        raise AssertionError("a sample block was drawn")
+
+    monkeypatch.setattr(montecarlo, "block_rng", refuse)
+    with pytest.raises(UnreachableTargetError, match=r"subset \{2\}: 1000 of 1000 samples"):
         estimate_moments(net, [2], 1, 1000, seed=0)
+    with pytest.raises(UnreachableTargetError, match=r"\{2\}"):
+        estimate_moments_subsets(net, [[1], [2]], 1, 1000, seed=0)
+    with pytest.raises(ValueError, match="sample count must be positive"):
+        estimate_moments(net, [2], 1, 0, seed=0)
 
 
 def test_passage_time_is_pointwise_monotone_in_the_subset():

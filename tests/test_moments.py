@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from gossip_aoi import (
     solve_all,
     solve_moments,
 )
+from gossip_aoi.reporting import render_csv, render_json
 from helpers import (
     MemoMomentSolver,
     all_subsets,
@@ -192,8 +194,10 @@ def test_memo_limit_is_enforced():
 def test_table_renders_infinities():
     net = GossipNetwork(node_count=2, edges=(Edge(0, 1, 1.0),))
     table = solve_all(net, 2)
-    assert table.csv_header() == ["subset", "v1", "v2"]
-    rows = {row[0]: row[1:] for row in table.csv_rows()}
-    assert rows["2"] == ["inf", "inf"]
-    assert float(rows["1"][0]) == 1.0
-    assert table.json_map()["2"] == ["inf", "inf"]
+    # The table hands over floats; the renderers write +inf as "inf".
+    assert render_csv(table.csv_header(), table.csv_rows()) == (
+        'subset,v1,v2\n1,1.0,2.0\n2,inf,inf\n"1,2",1.0,2.0\n'
+    )
+    assert json.loads(render_json(table.json_map())) == {
+        "1": [1.0, 2.0], "2": ["inf", "inf"], "1,2": [1.0, 2.0]
+    }

@@ -27,6 +27,7 @@ from helpers import (
     line_network,
     random_network,
     rate_into,
+    simple_paths_to,
     source_rate,
 )
 
@@ -238,3 +239,13 @@ def test_total_rate_matches_cumsum():
     assert net.total_rate == pytest.approx(4.5)
     assert net.rate_cumsum[-1] == pytest.approx(net.total_rate)
     assert np.all(np.diff(net.rate_cumsum) > 0)
+
+
+def test_reachable_marks_the_nodes_with_a_source_path():
+    net = GossipNetwork(node_count=4, edges=(Edge(0, 1, 1.0), Edge(1, 3, 1.0), Edge(2, 1, 1.0)))
+    assert net.reachable == 0b1011
+    rng = np.random.default_rng(15)
+    for _ in range(12):
+        net = random_network(rng, int(rng.integers(1, 8)), p=0.2)
+        expected = 1 | sum(1 << v for v in range(1, net.node_count + 1) if simple_paths_to(net, [v]))
+        assert net.reachable == expected

@@ -14,66 +14,64 @@ from gossip_aoi import (
     GossipNetwork,
     PendingReplicasError,
     ReplicationResult,
-    SimState,
     age_power_integral,
-    detect_t0,
     estimate_moments_replication,
     estimate_moments_timeavg,
     montecarlo,
-    new_state,
     pilot_t0,
     replication_results,
     solve_moments,
-    step,
 )
-from gossip_aoi.simulate import check_pending, default_horizon
+from gossip_aoi.simulate import _deliver, check_pending, default_horizon
 from helpers import (
+    SimState,
     age_of,
+    detect_t0,
     line_network,
+    new_state,
     random_network,
+    reference_pilot_t0,
+    reference_step,
     reference_timeavg,
     run_until,
     star_network,
+    timeavg_trace,
 )
 
 
 def test_edge_selection_frequencies_follow_the_rates():
     net = star_network(1.0, 3.0)
-    rng = np.random.default_rng(41)
-    state = new_state(net)
-    hits = 0
     n = 1_000_000
-    for _ in range(n):
-        if step(state, net, rng).edge.to_node == 1:
-            hits += 1
+    hits = sum(event.edge.to_node == 1 for event in timeavg_trace(net, n, seed=41))
     freq = hits / n
     se = math.sqrt(0.25 * 0.75 / n)
     assert abs(freq - 0.25) <= 4 * se
 
 
 def test_source_ring_delivers_the_current_time():
-    net = star_network(1.0)
-    state = new_state(net)
-    event = step(state, net, np.random.default_rng(42))
-    assert event.edge == (0, 1, 1.0)
-    assert state.timestamps[1] == event.time == state.now
-    assert state.received_from_source[1]
+    ts, informed = [0.0, 0.0], [math.nan, math.nan]
+    assert _deliver(ts, informed, 0, 1, 2.5) == (0.0, 2.5)
+    assert ts[1] == informed[1] == 2.5
+    assert _deliver(ts, informed, 0, 1, 4.0) == (2.5, 4.0)
+    assert informed[1] == 2.5   # the first source-originated delivery sticks
 
 
 def test_stale_ring_leaves_the_newer_timestamp():
-    net = GossipNetwork(node_count=2, edges=(Edge(1, 2, 1.0),))
-    state = new_state(net)
-    state.timestamps[1] = 1.0
-    state.timestamps[2] = 3.0
-    event = step(state, net, np.random.default_rng(43))
-    assert event.old_timestamp == event.new_timestamp == 3.0
-    assert state.timestamps[2] == 3.0
+    ts, informed = [0.0, 1.0, 3.0], [math.nan, 0.5, 2.0]
+    assert _deliver(ts, informed, 1, 2, 5.0) == (3.0, 3.0)
+    assert ts == [0.0, 1.0, 3.0]
+    assert informed[1:] == [0.5, 2.0]
 
 
-def test_step_requires_a_ringing_clock():
+def test_simulators_require_a_ringing_clock():
+    # Node 1 is unreachable too; the clock error comes first.
     net = GossipNetwork(node_count=1, edges=())
     with pytest.raises(ValueError, match="no edges"):
-        step(new_state(net), net, np.random.default_rng(0))
+        pilot_t0(net, [1])
+    with pytest.raises(ValueError, match="no edges"):
+        estimate_moments_timeavg(net, [1], 1, 10.0, 1.0)
+    with pytest.raises(ValueError, match="no edges"):
+        replication_results(net, [[1]], 1, 100, 10.0)
 
 
 def test_run_until_zero_horizon_is_a_no_op():
@@ -119,7 +117,7 @@ def test_age_of_examples():
     assert age_of(new_state(net), [1]) == 0.0  # initial timestamps are 0 at t=0
 
     fresh = new_state(net)
-    step(fresh, net, np.random.default_rng(48))
+    reference_step(fresh, net, np.random.default_rng(48))
     assert age_of(fresh, [1]) == 0.0  # sampled right at the delivery
 
 
@@ -127,14 +125,14 @@ def test_detect_t0_examples():
     net = star_network(1.0)
     state = new_state(net)
     assert detect_t0(state, [1]) is None
-    event = step(state, net, np.random.default_rng(49))
+    event = reference_step(state, net, np.random.default_rng(49))
     assert detect_t0(state, [1]) == event.time
 
     line = line_network(1.0, 2.0)
     state = new_state(line)
     rng = np.random.default_rng(50)
     while detect_t0(state, [2]) is None:
-        step(state, line, rng)
+        reference_step(state, line, rng)
     assert detect_t0(state, [2]) >= state.informed_at[1]
 
     lonely = GossipNetwork(node_count=2, edges=(Edge(0, 1, 1.0),))
@@ -149,9 +147,40 @@ def test_pilot_t0_bounds_the_informing_time():
     assert len(times) == 8
     assert all(0 < t < math.inf for t in times)
 
-    lonely = GossipNetwork(node_count=2, edges=(Edge(0, 1, 1.0),))
-    with pytest.raises(PendingReplicasError, match="pilot"):
-        pilot_t0(lonely, [2], replicas=1, seed=53, event_cap=50)
+    with pytest.raises(PendingReplicasError, match=r"subset \{2\} still uninformed after 1 events"):
+        pilot_t0(net, [2], replicas=1, seed=53, event_cap=1)
+
+
+def test_pilot_fails_at_once_on_an_unreachable_subset(monkeypatch):
+    def refuse(*cell):
+        raise AssertionError("a pilot replica was simulated")
+
+    monkeypatch.setattr(montecarlo, "block_rng", refuse)
+    net = GossipNetwork(node_count=3, edges=(Edge(0, 1, 1.0), Edge(3, 2, 1.0)))
+    with pytest.raises(PendingReplicasError, match=r"subset \{1,2\} is unreachable; nodes \{2\}"):
+        pilot_t0(net, [1, 2])
+
+
+def _pilot_outcome(pilot, net, subset, seed, event_cap):
+    try:
+        return pilot(net, subset, seed=seed, event_cap=event_cap)
+    except PendingReplicasError as exc:
+        return f"PendingReplicasError: {exc}"
+
+
+def test_pilot_is_bitwise_the_reference_pilot():
+    capped = 0
+    for case in range(16):
+        rng = np.random.default_rng([69, case])
+        n = int(rng.integers(1, 9))
+        net = random_network(rng, n, p=float(rng.uniform(0.1, 0.5)), reachable=True)
+        subset = [v for v in range(1, n + 1) if rng.random() < 0.5] or [n]
+        # A cap of 3 events leaves some replicas uninformed: the error must match too.
+        args = (net, subset, 2000 + case, (3, 1_000_000)[case % 4 != 0])
+        ours = _pilot_outcome(pilot_t0, *args)
+        assert ours == _pilot_outcome(reference_pilot_t0, *args), case
+        capped += isinstance(ours, str)
+    assert capped > 0
 
 
 def test_age_power_integral_closed_form():
@@ -240,8 +269,6 @@ def test_uniform_picks_the_edge_above_its_threshold(u, picked, monkeypatch):
     # draws, keeps u * Lambda below Lambda; u = 1.0 reaches Lambda, runs the
     # bisection off the end and must clamp to the last edge.
     net = GossipNetwork(node_count=3, edges=(Edge(0, 1, 1.0), Edge(1, 2, 1.0), Edge(2, 3, 2.0)))
-    assert step(new_state(net), net, FixedDrawRng(u)).edge == net.edges[picked]
-
     monkeypatch.setattr(montecarlo, "block_rng", lambda *cell: FixedDrawRng(u))
     args = (net, [3], 1, 10.0, 1.0, 0, 30)
     ours = _timeavg_outcome(estimate_moments_timeavg, *args)
@@ -327,30 +354,24 @@ def test_replication_is_stationary_past_t0():
 
 def test_inter_event_gaps_are_exponential():
     net = line_network(1.0, 2.0)
-    rng = np.random.default_rng(66)
-    state = new_state(net)
-    times = [0.0]
-    for _ in range(100_000):
-        times.append(step(state, net, rng).time)
+    times = [0.0] + [event.time for event in timeavg_trace(net, 100_000, seed=66)]
     gaps = np.diff(times)
     result = stats.kstest(gaps, "expon", args=(0, 1 / net.total_rate))
     assert result.pvalue >= 0.001
 
 
 def test_trajectory_invariants_hold_throughout():
+    # Replay the trace: each event must apply the delivery rule to the
+    # timestamps the earlier events left.
     rng = np.random.default_rng(67)
     net = random_network(rng, 4, p=0.5, reachable=True)
-    state = new_state(net)
-    last = list(state.timestamps)
-    informed_seen = [False] * (net.node_count + 1)
-    for _ in range(2000):
-        event = step(state, net, rng)
-        assert event.old_timestamp <= event.new_timestamp <= event.time
-        for u in range(1, net.node_count + 1):
-            assert 0.0 <= state.timestamps[u] <= state.now
-            assert state.timestamps[u] >= last[u]  # timestamps never move back
-            if informed_seen[u]:
-                assert state.received_from_source[u]  # informed is sticky
-            informed_seen[u] = state.received_from_source[u]
-            assert age_of(state, [u]) >= 0.0
-        last = list(state.timestamps)
+    ts = [0.0] * (net.node_count + 1)
+    now = 0.0
+    for event in timeavg_trace(net, 2000, seed=67):
+        u, v, _ = event.edge
+        assert now <= event.time
+        now = event.time
+        assert event.old_timestamp == ts[v]
+        assert event.new_timestamp == max(ts[v], now if u == 0 else ts[u])
+        assert 0.0 <= event.old_timestamp <= event.new_timestamp <= now  # ages stay >= 0
+        ts[v] = event.new_timestamp
