@@ -39,7 +39,6 @@ from .network import (
 from .simulate import (
     PendingReplicasError,
     ReplicationResult,
-    SimEvent,
     age_power_integral,
     default_burn_in,
     estimate_moments_replication,
@@ -62,7 +61,6 @@ __all__ = [
     "NodeSubset",
     "PendingReplicasError",
     "ReplicationResult",
-    "SimEvent",
     "TimeConstantEstimate",
     "UnreachableTargetError",
     "age_power_integral",

@@ -13,6 +13,7 @@ import os
 import sys
 import time
 from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -207,6 +208,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     net = _load(args.network)
     seed = check_seed(args.seed)
     subset = net.check_subset(args.subset)
+    results: dict[str, Any] = {"subset": list(subset.ids()), "mode": args.mode}
     if args.mode == "replication":
         if args.trace is not None:
             raise NetworkConfigError("--trace requires --mode timeavg (a single trajectory)")
@@ -220,13 +222,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                                               horizon, seed=seed, workers=args.workers)[subset]
         simulate.check_pending(result, subset, horizon)
         estimates = list(result.estimates)
-        results = {
-            "subset": list(subset.ids()),
-            "mode": args.mode,
-            "replicas": result.replicas,
-            "pending": result.pending,
-            "estimates": reporting.estimate_payload(estimates),
-        }
+        results.update(replicas=result.replicas, pending=result.pending)
     else:
         if args.horizon is None:
             raise NetworkConfigError("--mode timeavg requires --horizon")
@@ -236,23 +232,19 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         config = RunConfig(command="simulate", network=args.network, subset=args.subset,
                            k=args.k, horizon=args.horizon, burn_in=burn_in,
                            mode=args.mode, seed=seed)
-        trace: list[simulate.SimEvent] | None = [] if args.trace else None
-        estimates = simulate.estimate_moments_timeavg(net, subset, args.k, args.horizon,
-                                                      burn_in, seed=seed, trace=trace)
+        # Check before opening the trace, so a rejected call leaves no file.
+        simulate.check_timeavg(net, args.k, args.horizon, burn_in)
+        run = partial(simulate.estimate_moments_timeavg, net, subset, args.k, args.horizon,
+                      burn_in, seed=seed)
         if args.trace:
-            trace_rows = [
-                [e.time, e.edge.from_node, e.edge.to_node, e.new_timestamp] for e in trace or []
-            ]
-            reporting.write_text(
-                reporting.render_csv(["time", "from", "to", "new_timestamp"], trace_rows),
-                args.trace,
-            )
-        results = {
-            "subset": list(subset.ids()),
-            "mode": args.mode,
-            "batches": simulate.TIMEAVG_BATCHES,
-            "estimates": reporting.estimate_payload(estimates),
-        }
+            with open(args.trace, "w", encoding="utf-8", newline="") as fh:
+                writer = reporting.csv_writer(fh)
+                writer.writerow(simulate.TRACE_HEADER)
+                estimates = run(trace=writer.writerow)
+        else:
+            estimates = run()
+        results["batches"] = simulate.TIMEAVG_BATCHES
+    results["estimates"] = reporting.estimate_payload(estimates)
     _emit(config, results, ["k", "mean", "std_error", "samples"],
           reporting.estimate_rows(estimates), args.format, args.out)
     return 0
@@ -284,6 +276,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     net = _load(args.network)
     seed = check_seed(args.seed)
     subset = net.check_subset(args.subset)
+    if args.samples < 2:
+        raise ValueError(f"need at least 2 samples, got {args.samples}")
     simulate.check_replication(args.replicas, args.horizon)
     horizon = args.horizon
     if horizon is None:

@@ -101,6 +101,8 @@ class MomentSolver:
     def __init__(self, net: GossipNetwork, k_max: int, memo_limit: int = DEFAULT_MEMO_LIMIT):
         self.net = net
         self.k_max = check_order(k_max)
+        if not isinstance(memo_limit, int) or not 1 <= memo_limit < 1 << 31:   # int32 links
+            raise ValueError(f"memo_limit must be an integer in [1, 2^31 - 1], got {memo_limit!r}")
         self.memo_limit = memo_limit
         self._zero_rate: set[int] = set()
         # Bit v - 1 of a state stands for node v, so 62 nodes fit in int64.
@@ -115,12 +117,6 @@ class MomentSolver:
         self._v_nodes = np.array([v for _, v, _ in inner], dtype=np.intp)
         self._u_bits = np.left_shift(1, self._u_nodes, dtype=np.int64)
         self._rates = np.array([r for _, _, r in inner], dtype=float)
-        # solve keeps every closure layer's (edge, row, inverse) links until
-        # the way back.  Edges number under 62^2; rows index a layer that
-        # passed the memo_limit check, and an inverse is used only once its
-        # layer has passed it too, so int32 holds them all unless the limit
-        # itself does not fit.
-        self._link = np.int32 if memo_limit <= np.iinfo(np.int32).max else np.int64
 
     @property
     def zero_rate_subsets(self) -> tuple[NodeSubset, ...]:
@@ -146,7 +142,10 @@ class MomentSolver:
                 raise _memo_limit_error(self.memo_limit)
             edge, row = self._boundary(layer)
             above, inverse = np.unique(layer[row] | self._u_bits[edge], return_inverse=True)
-            links.append((edge.astype(self._link), row.astype(self._link), inverse.astype(self._link)))
+            # Kept until the way back, so as int32: edges number under 62^2,
+            # rows index a layer that passed the memo_limit check, and an
+            # inverse is used only once its layer has passed it too.
+            links.append((edge.astype(np.int32), row.astype(np.int32), inverse.astype(np.int32)))
             layers.append(above)
         vec = np.empty((0, self.k_max + 1))
         for layer, (edge, row, inverse) in zip(layers[-2::-1], links[::-1]):

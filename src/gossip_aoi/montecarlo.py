@@ -6,10 +6,11 @@ each owning an RNG stream derived from (master seed, stream tag, block
 index).  A block calls ``draw(rng, size)``, which returns one array per
 group (a subset, or the box boundary) holding the observations the group
 keeps; a draw drops what it cannot observe (a replica still uninformed at
-the horizon), so the kept count may fall short of ``size``.  The worker reduces each array to its power sums at once, so
-only k_max-long vectors leave it.  The sums are added per group in block
-order, so estimates are bit-identical across runs and across worker counts;
-the worker pool only changes who computes a block, never what it contains.
+the horizon), so the kept count may fall short of ``size``.  The worker
+reduces each array to its power sums at once, so only k_max-long vectors
+leave it.  The sums are added per group in block order, so estimates are
+bit-identical across runs and across worker counts; the worker pool only
+changes who computes a block, never what it contains.
 """
 
 from __future__ import annotations

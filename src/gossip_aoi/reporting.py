@@ -13,7 +13,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, Sequence, TextIO
 
 from .montecarlo import MomentEstimate
 
@@ -40,13 +40,17 @@ def render_json(document: dict[str, Any]) -> str:
     return json.dumps(json_ready(document), indent=2, sort_keys=True) + "\n"
 
 
+def csv_writer(fh: TextIO) -> Any:
+    """The one CSV dialect: floats as ``repr`` (so ``inf``, ``-inf`` and ``nan``
+    as such), other cells as ``str``, each row ended by a bare newline."""
+    return csv.writer(fh, lineterminator="\n")
+
+
 def render_csv(header: Sequence[str], rows: Sequence[Sequence[Any]], preamble: str = "") -> str:
-    """CSV text; ``csv.writer`` writes floats with ``repr`` (so ``inf``,
-    ``-inf`` and ``nan`` as such) and other cells with ``str``."""
+    """CSV text of ``header`` and ``rows`` in the :func:`csv_writer` dialect."""
     buf = io.StringIO()
-    if preamble:
-        buf.write(preamble)
-    writer = csv.writer(buf, lineterminator="\n")
+    buf.write(preamble)
+    writer = csv_writer(buf)
     writer.writerow(header)
     writer.writerows(rows)
     return buf.getvalue()

@@ -25,7 +25,8 @@ sums changes the reports.  Both scalar loops hold their state in plain
 lists and floats, bind both draws to locals and call the one delivery rule,
 ``_deliver``, directly, so an event costs little more than its two draws.
 A trajectory's own ``informed`` list gives its t_0, the time the last
-subset member first held source-originated information.
+subset member first held source-originated information.  A time-average
+``trace`` callable gets each applied event as it happens, one CSV row.
 """
 
 from __future__ import annotations
@@ -35,30 +36,22 @@ import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import partial
-from typing import Iterable, NamedTuple
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
 from . import montecarlo
 from .montecarlo import MomentEstimate
-from .network import Edge, GossipNetwork, NodeSubset
+from .network import GossipNetwork, NodeSubset
 
 PILOT_REPLICAS = 32
 TIMEAVG_BATCHES = 30
+TRACE_HEADER = ("time", "from", "to", "new_timestamp")   # a time-average trace row
 PENDING_TOLERANCE = 0.01
 
 
 class PendingReplicasError(RuntimeError):
     """Raised when too many replicas never become source-informed."""
-
-
-class SimEvent(NamedTuple):
-    """One applied event of a trajectory, as ``trace`` records it."""
-
-    time: float
-    edge: Edge
-    old_timestamp: float
-    new_timestamp: float
 
 
 def _event_rate(net: GossipNetwork) -> float:
@@ -211,11 +204,13 @@ def _replication_draw(
 
 
 def check_replication(replicas: int, horizon: float | None) -> None:
-    """Reject a replica count below 2, or a horizon that is given and not positive."""
+    """Reject a replica count below 2, or a given horizon that is not positive and finite."""
     if replicas < 2:
         raise ValueError(f"need at least 2 replicas, got {replicas}")
     if horizon is not None and not horizon > 0.0:
         raise ValueError(f"horizon must be positive, got {horizon}")
+    if horizon == math.inf:
+        raise ValueError(f"horizon must be finite, got {horizon}")
 
 
 def replication_results(
@@ -280,6 +275,19 @@ def age_power_integral(start_age: float, duration: float, k: int) -> float:
     return ((start_age + duration) ** (k + 1) - start_age ** (k + 1)) / (k + 1)
 
 
+def check_timeavg(net: GossipNetwork, k_max: int, horizon: float, burn_in: float,
+                  batches: int = TIMEAVG_BATCHES) -> float:
+    """Check the time-average arguments before any work; return Lambda."""
+    montecarlo.check_order(k_max)
+    if batches < 2:
+        raise ValueError(f"need at least 2 batches, got {batches}")
+    if not math.isfinite(horizon):
+        raise ValueError(f"horizon must be finite, got {horizon}")
+    if burn_in < 0 or not horizon > burn_in:
+        raise ValueError(f"need 0 <= burn_in < horizon, got burn_in={burn_in}, horizon={horizon}")
+    return _event_rate(net)
+
+
 def estimate_moments_timeavg(
     net: GossipNetwork,
     subset: NodeSubset | Iterable[int],
@@ -288,24 +296,19 @@ def estimate_moments_timeavg(
     burn_in: float,
     seed: int = 0,
     batches: int = TIMEAVG_BATCHES,
-    trace: list[SimEvent] | None = None,
+    trace: Callable[[tuple[float, int, int, float]], Any] | None = None,
 ) -> list[MomentEstimate]:
     """Time-averaged raw age moments over [burn_in, horizon] of one trajectory.
 
     Between events the age grows linearly, so each segment contributes its
     exact integral; standard errors come from batch means over ``batches``
     equal windows.  A burn-in shorter than the trajectory's t_0 is flagged
-    with a warning.  Pass a list as ``trace`` to capture every event.
+    with a warning.  A ``trace`` callable gets one ``TRACE_HEADER`` row,
+    ``(time, from, to, new_timestamp)``, per applied event, as it happens.
     """
-    montecarlo.check_order(k_max)
+    total = check_timeavg(net, k_max, horizon, burn_in, batches)
     montecarlo.check_seed(seed)
     s = net.check_subset(subset)
-    if batches < 2:
-        raise ValueError(f"need at least 2 batches, got {batches}")
-    if burn_in < 0 or not horizon > burn_in:
-        raise ValueError(f"need 0 <= burn_in < horizon, got burn_in={burn_in}, horizon={horizon}")
-
-    total = _event_rate(net)
 
     width = (horizon - burn_in) / batches
     sums = [[0.0] * k_max for _ in range(batches)]   # Python floats: the same adds as float64
@@ -327,9 +330,8 @@ def estimate_moments_timeavg(
     exponential, random = rng.exponential, rng.random
     mean_gap = 1.0 / total
     cumulative = net.cumulative_rates
-    edges = net.edges
-    senders = [e.from_node for e in edges]
-    receivers = [e.to_node for e in edges]
+    senders = [e.from_node for e in net.edges]
+    receivers = [e.to_node for e in net.edges]
     member = [v in s for v in range(net.node_count + 1)]
     ts = [0.0] * (net.node_count + 1)
     informed = [math.nan] * (net.node_count + 1)
@@ -344,9 +346,9 @@ def estimate_moments_timeavg(
             break
         now = t_next
         v = receivers[idx]
-        old, new = _deliver(ts, informed, senders[idx], v, now)
+        _, new = _deliver(ts, informed, senders[idx], v, now)
         if trace is not None:
-            trace.append(SimEvent(time=now, edge=edges[idx], old_timestamp=old, new_timestamp=new))
+            trace((now, senders[idx], v, new))
         if member[v] and new > held:
             accumulate(seg_start, now, held)
             held = new

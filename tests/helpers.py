@@ -6,7 +6,7 @@ import heapq
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -18,7 +18,6 @@ from gossip_aoi.simulate import (
     PILOT_REPLICAS,
     TIMEAVG_BATCHES,
     PendingReplicasError,
-    SimEvent,
     age_power_integral,
     estimate_moments_timeavg,
 )
@@ -404,6 +403,15 @@ def reference_box_recursion(box: LatticeBox, cluster: Iterable[Vertex]) -> float
 # as these do.
 
 
+class SimEvent(NamedTuple):
+    """One applied event of a trajectory, as ``trace`` records it."""
+
+    time: float
+    edge: Edge
+    old_timestamp: float
+    new_timestamp: float
+
+
 @dataclass
 class SimState:
     """Mutable state of one trajectory: clock, per-node timestamps, and the
@@ -527,11 +535,12 @@ def reference_timeavg(
     burn_in: float,
     seed: int = 0,
     batches: int = TIMEAVG_BATCHES,
-    trace: list[SimEvent] | None = None,
+    trace: Callable[[tuple[float, int, int, float]], Any] | None = None,
 ) -> list[MomentEstimate]:
     """Time-averaged raw age moments over [burn_in, horizon] of one trajectory,
     one ``_draw``/``_apply`` pair and numpy scalar sums per event; the
-    reference for ``estimate_moments_timeavg``."""
+    reference for ``estimate_moments_timeavg``, whose trace rows it reports
+    the same way."""
     montecarlo.check_order(k_max)
     montecarlo.check_seed(seed)
     s = net.check_subset(subset)
@@ -569,7 +578,7 @@ def reference_timeavg(
             break
         event = _apply(state, net, idx, t_next)
         if trace is not None:
-            trace.append(event)
+            trace((event.time, event.edge.from_node, event.edge.to_node, event.new_timestamp))
         if event.edge.to_node in s and event.new_timestamp > held:
             accumulate(seg_start, t_next, held)
             held = event.new_timestamp
@@ -599,13 +608,17 @@ def reference_timeavg(
     return estimates
 
 
-def timeavg_trace(net: GossipNetwork, events: int, seed: int) -> list[SimEvent]:
-    """The first ``events`` events that ``estimate_moments_timeavg`` applies
-    on a trajectory at ``seed``; its horizon holds ten standard deviations
-    more events on average, and the burn-in, half of it, lies past t_0."""
-    trace: list[SimEvent] = []
+def timeavg_trace(
+    net: GossipNetwork, events: int, seed: int
+) -> list[tuple[float, int, int, float]]:
+    """The ``(time, from, to, new_timestamp)`` trace rows of the first
+    ``events`` events that ``estimate_moments_timeavg`` applies on a
+    trajectory at ``seed``; its horizon holds ten standard deviations more
+    events on average, and the burn-in, half of it, lies past t_0."""
+    trace: list[tuple[float, int, int, float]] = []
     horizon = (events + 10.0 * math.sqrt(events)) / net.total_rate
-    estimate_moments_timeavg(net, net.full_subset(), 1, horizon, horizon / 2, seed=seed, trace=trace)
+    estimate_moments_timeavg(net, net.full_subset(), 1, horizon, horizon / 2, seed=seed,
+                             trace=trace.append)
     if len(trace) < events:
         raise ValueError(f"trace holds {len(trace)} events, wanted {events}")
     return trace[:events]

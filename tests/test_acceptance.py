@@ -194,9 +194,9 @@ def test_criterion_5_next_event_law():
     n = 1_000_000
     counts: Counter[tuple[int, int]] = Counter()
     times = [0.0]
-    for event in timeavg_trace(net, n, seed=105):
-        counts[event.edge.from_node, event.edge.to_node] += 1
-        times.append(event.time)
+    for at, u, v, _ in timeavg_trace(net, n, seed=105):
+        counts[u, v] += 1
+        times.append(at)
 
     for edge in net.edges:
         p = edge.rate / net.total_rate

@@ -19,6 +19,7 @@ LINE_DOC = (
     '{"from": 0, "to": 1, "rate": 1.0}, {"from": 1, "to": 2, "rate": 2.0}]}'
 )
 LONELY_DOC = '{"nodes": 2, "edges": [{"from": 0, "to": 1, "rate": 1.0}]}'
+EDGELESS_DOC = '{"nodes": 2, "edges": []}'
 GOLDEN_DOC = (
     '{"nodes": 3, "edges": ['
     '{"from": 0, "to": 1, "rate": 1.0}, {"from": 0, "to": 3, "rate": 0.3}, '
@@ -172,11 +173,33 @@ def test_trace_is_timeavg_only(capsys, line_path, tmp_path):
                      "--mode", "timeavg", "--horizon", "200", "--burn-in", "10",
                      "--trace", trace, "--out", str(tmp_path / "report.json")])
     assert code == 0
-    rows = list(csv.reader(open(trace)))
+    with open(trace, newline="") as fh:
+        rows = list(csv.reader(fh))
     assert rows[0] == ["time", "from", "to", "new_timestamp"]
     assert len(rows) > 10
     times = [float(r[0]) for r in rows[1:]]
     assert times == sorted(times)
+
+
+@pytest.mark.parametrize("doc, option, message", [
+    (LINE_DOC, ["--k", "0", "--horizon", "200"], "moment order must be a positive integer, got 0"),
+    (LINE_DOC, ["--horizon", "10", "--burn-in", "10"],
+     "need 0 <= burn_in < horizon, got burn_in=10.0, horizon=10.0"),
+    (LINE_DOC, ["--horizon", "inf"], "horizon must be finite, got inf"),
+    (EDGELESS_DOC, ["--horizon", "200", "--burn-in", "10"],
+     "network has no edges; the event clock never rings"),
+], ids=["order", "burn-in", "horizon-inf", "edgeless"])
+def test_rejected_timeavg_call_leaves_the_trace_path_alone(capsys, tmp_path, doc, option, message):
+    (tmp_path / "net.json").write_text(doc)
+    trace = tmp_path / "events.csv"
+    argv = ["simulate", "--network", str(tmp_path / "net.json"), "--subset", "2",
+            "--mode", "timeavg", "--trace", str(trace), *option]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"gossip-aoi: error: {message}\n"
+    assert not trace.exists()
+    trace.write_text("kept\n")
+    assert cli.main(argv) == 2
+    assert trace.read_text() == "kept\n"
 
 
 def test_simulate_reports_keep_their_golden_bytes(tmp_path, monkeypatch):
@@ -228,7 +251,9 @@ def test_compare_line_network_passes(capsys, line_path):
 @pytest.mark.parametrize("option, message", [
     (["--replicas", "1"], "need at least 2 replicas, got 1"),
     (["--horizon", "-1"], "horizon must be positive, got -1.0"),
-], ids=["replicas", "horizon"])
+    (["--horizon", "inf"], "horizon must be finite, got inf"),
+    (["--samples", "1"], "need at least 2 samples, got 1"),
+], ids=["replicas", "horizon", "horizon-inf", "samples"])
 def test_compare_rejects_replicas_and_horizon_before_any_work(capsys, line_path, monkeypatch,
                                                               option, message):
     def refuse(*args, **kwargs):

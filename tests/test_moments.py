@@ -191,6 +191,18 @@ def test_memo_limit_is_enforced():
     assert len(MomentSolver(net, 1, memo_limit=15).solve_all().entries) == 15
 
 
+@pytest.mark.parametrize("limit", [0, -1, 1 << 31, 4.0])
+def test_memo_limit_must_fit_the_int32_links(limit):
+    net = line_network(1.0, 1.0)
+    with pytest.raises(ValueError, match=r"memo_limit must be an integer in \[1, 2\^31 - 1\]"):
+        MomentSolver(net, 1, memo_limit=limit)
+
+
+def test_largest_memo_limit_is_accepted():
+    net = line_network(1.0, 1.0)
+    assert MomentSolver(net, 1, memo_limit=(1 << 31) - 1).solve([2])[1] == pytest.approx(2.0)
+
+
 def test_table_renders_infinities():
     net = GossipNetwork(node_count=2, edges=(Edge(0, 1, 1.0),))
     table = solve_all(net, 2)

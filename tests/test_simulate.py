@@ -42,7 +42,7 @@ from helpers import (
 def test_edge_selection_frequencies_follow_the_rates():
     net = star_network(1.0, 3.0)
     n = 1_000_000
-    hits = sum(event.edge.to_node == 1 for event in timeavg_trace(net, n, seed=41))
+    hits = sum(to == 1 for _, _, to, _ in timeavg_trace(net, n, seed=41))
     freq = hits / n
     se = math.sqrt(0.25 * 0.75 / n)
     assert abs(freq - 0.25) <= 4 * se
@@ -215,14 +215,33 @@ def test_timeavg_warns_when_the_subset_is_never_informed():
         estimate_moments_timeavg(net, [2], 1, 50.0, 10.0, seed=57)
 
 
+def _refuse_to_sample(monkeypatch):
+    def refuse(*cell):
+        raise AssertionError("sampling started before the arguments were checked")
+
+    monkeypatch.setattr(montecarlo, "block_rng", refuse)
+
+
+def test_replication_rejects_an_infinite_horizon_before_sampling(monkeypatch):
+    _refuse_to_sample(monkeypatch)
+    with pytest.raises(ValueError, match="^horizon must be finite, got inf$"):
+        replication_results(line_network(1.0, 2.0), [[2]], 1, 100, math.inf)
+
+
+def test_timeavg_rejects_an_infinite_horizon_before_sampling(monkeypatch):
+    _refuse_to_sample(monkeypatch)
+    with pytest.raises(ValueError, match="^horizon must be finite, got inf$"):
+        estimate_moments_timeavg(line_network(1.0, 2.0), [2], 1, math.inf, 10.0)
+
+
 def _timeavg_outcome(estimator, net, subset, k_max, horizon, burn_in, seed, batches):
-    """(estimates or error text, trace, warnings) of one time-average run."""
+    """(estimates or error text, trace rows, warnings) of one time-average run."""
     trace: list = []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
             result = estimator(net, subset, k_max, horizon, burn_in, seed=seed,
-                               batches=batches, trace=trace)
+                               batches=batches, trace=trace.append)
         except ValueError as exc:
             result = f"ValueError: {exc}"
     return result, trace, [(w.category, str(w.message)) for w in caught]
@@ -275,7 +294,7 @@ def test_uniform_picks_the_edge_above_its_threshold(u, picked, monkeypatch):
     assert ours == _timeavg_outcome(reference_timeavg, *args)
     trace = ours[1]
     assert len(trace) == 39   # gaps of exactly 0.25 up to the horizon
-    assert {event.edge for event in trace} == {net.edges[picked]}
+    assert {row[1:3] for row in trace} == {net.edges[picked][:2]}
 
 
 def test_replication_star_and_line_moments():
@@ -354,7 +373,7 @@ def test_replication_is_stationary_past_t0():
 
 def test_inter_event_gaps_are_exponential():
     net = line_network(1.0, 2.0)
-    times = [0.0] + [event.time for event in timeavg_trace(net, 100_000, seed=66)]
+    times = [0.0] + [at for at, _, _, _ in timeavg_trace(net, 100_000, seed=66)]
     gaps = np.diff(times)
     result = stats.kstest(gaps, "expon", args=(0, 1 / net.total_rate))
     assert result.pvalue >= 0.001
@@ -367,11 +386,9 @@ def test_trajectory_invariants_hold_throughout():
     net = random_network(rng, 4, p=0.5, reachable=True)
     ts = [0.0] * (net.node_count + 1)
     now = 0.0
-    for event in timeavg_trace(net, 2000, seed=67):
-        u, v, _ = event.edge
-        assert now <= event.time
-        now = event.time
-        assert event.old_timestamp == ts[v]
-        assert event.new_timestamp == max(ts[v], now if u == 0 else ts[u])
-        assert 0.0 <= event.old_timestamp <= event.new_timestamp <= now  # ages stay >= 0
-        ts[v] = event.new_timestamp
+    for at, u, v, new in timeavg_trace(net, 2000, seed=67):
+        assert now <= at
+        now = at
+        assert new == max(ts[v], now if u == 0 else ts[u])
+        assert 0.0 <= ts[v] <= new <= now  # ages stay >= 0; ts[v] is the old timestamp
+        ts[v] = new
