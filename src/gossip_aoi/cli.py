@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from . import __version__, fpp, lattice, moments, reporting, simulate
-from .montecarlo import check_seed
+from .montecarlo import check_order, check_seed
 from .network import GossipNetwork, NetworkConfigError, NodeSubset, load_network
 from .reporting import SCHEMA_VERSION, TOOL_NAME
 
@@ -212,6 +212,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.mode == "replication":
         if args.trace is not None:
             raise NetworkConfigError("--trace requires --mode timeavg (a single trajectory)")
+        check_order(args.k)
+        simulate.check_replication(args.replicas, args.horizon)
         horizon = args.horizon
         if horizon is None:
             horizon = simulate.default_horizon(net, subset, seed=seed)
@@ -226,14 +228,16 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     else:
         if args.horizon is None:
             raise NetworkConfigError("--mode timeavg requires --horizon")
+        simulate.check_timeavg(net, args.k, args.horizon, args.burn_in)
         burn_in = args.burn_in
         if burn_in is None:
             burn_in = simulate.default_burn_in(net, subset, seed=seed)
+            # The pilot's burn-in must still lie below the horizon; check it
+            # before opening the trace, so a rejected call leaves no file.
+            simulate.check_timeavg(net, args.k, args.horizon, burn_in)
         config = RunConfig(command="simulate", network=args.network, subset=args.subset,
                            k=args.k, horizon=args.horizon, burn_in=burn_in,
                            mode=args.mode, seed=seed)
-        # Check before opening the trace, so a rejected call leaves no file.
-        simulate.check_timeavg(net, args.k, args.horizon, burn_in)
         run = partial(simulate.estimate_moments_timeavg, net, subset, args.k, args.horizon,
                       burn_in, seed=seed)
         if args.trace:
@@ -278,6 +282,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     subset = net.check_subset(args.subset)
     if args.samples < 2:
         raise ValueError(f"need at least 2 samples, got {args.samples}")
+    check_order(args.k)
     simulate.check_replication(args.replicas, args.horizon)
     horizon = args.horizon
     if horizon is None:

@@ -27,6 +27,19 @@ lists and floats, bind both draws to locals and call the one delivery rule,
 A trajectory's own ``informed`` list gives its t_0, the time the last
 subset member first held source-originated information.  A time-average
 ``trace`` callable gets each applied event as it happens, one CSV row.
+
+The replication kernel picks by the same rule without a per-key binary
+search (``_edge_picker``).  It splits [0, Lambda) into B = 4 x edges equal
+buckets, bucket(x) = min(int(x * scale), B - 1) with scale = B / Lambda, and
+applies that one float expression to the keys and to the thresholds
+``rate_cumsum[:-1]``.  Rounding is monotone, so a threshold in a lower bucket
+than x's lies below x and one in a higher bucket lies above it:
+guide[b], the number of thresholds in buckets below b, never overshoots the
+answer, and at most max-per-bucket steps ``idx += thresholds[idx] <= x`` (an
+``inf`` pad ends the walk) reach it exactly.  No ulp guard is needed.  The
+block's timestamps sit in one flat array, replica r's node v at
+``r * (nodes + 1) + v``, so each step's gather and max-scatter use 1-D
+indices on the live rows' offsets.
 """
 
 from __future__ import annotations
@@ -166,6 +179,36 @@ class ReplicationResult:
     pending: int
 
 
+def _edge_picker(cum: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """Vectorised ``_pick``: map keys x = u * Lambda to edge indices.
+
+    Returns ``min(searchsorted(cum, x, side="right"), last)`` exactly, via a
+    guide table over ``4 * edges`` equal buckets of [0, Lambda) and a few
+    bounded forward steps; the module docstring says why it is exact.
+    """
+    thresholds = cum[:-1]
+    buckets = 4 * len(cum)
+    # Any positive finite scale keeps the pick exact; the cap only matters
+    # when Lambda is so small that buckets / Lambda overflows.
+    scale = min(buckets / float(cum[-1]), np.finfo(np.float64).max)
+
+    def bucket(x: np.ndarray) -> np.ndarray:
+        return np.minimum((x * scale).astype(np.intp), buckets - 1)
+
+    held = bucket(thresholds)
+    guide = np.searchsorted(held, np.arange(buckets), side="left")
+    passes = int(np.bincount(held, minlength=1).max())
+    padded = np.append(thresholds, np.inf)
+
+    def pick(x: np.ndarray) -> np.ndarray:
+        idx = guide[bucket(x)]
+        for _ in range(passes):
+            idx += padded[idx] <= x
+        return idx
+
+    return pick
+
+
 def _replication_draw(
     net: GossipNetwork,
     subset_ids: tuple[tuple[int, ...], ...],
@@ -177,24 +220,26 @@ def _replication_draw(
     of the replicas whose t_0 arrived before it."""
     cum = net.rate_cumsum
     total = float(cum[-1])
-    edge_from = np.array([e.from_node for e in net.edges], dtype=np.int64)
-    edge_to = np.array([e.to_node for e in net.edges], dtype=np.int64)
-    last = len(net.edges) - 1
+    pick = _edge_picker(cum)
+    edge_from = np.array([e.from_node for e in net.edges], dtype=np.intp)
+    edge_to = np.array([e.to_node for e in net.edges], dtype=np.intp)
+    from_source = edge_from == 0
+    width = net.node_count + 1
 
-    ts = np.zeros((size, net.node_count + 1))
-    rows = np.arange(size)    # live replicas, ascending; t holds their clocks
-    t = np.zeros(size)
-    while rows.size:
-        t = t + rng.exponential(1.0 / total, rows.size)
-        eidx = np.minimum(np.searchsorted(cum, rng.random(rows.size) * total, side="right"), last)
+    ts = np.zeros(size * width)     # replica r's node v at ts[r * width + v]
+    base = np.arange(0, size * width, width)    # row offsets of the live replicas
+    t = np.zeros(size)                          # and their clocks
+    while base.size:
+        t = t + rng.exponential(1.0 / total, base.size)
+        eidx = pick(rng.random(base.size) * total)
         live = t < horizon
         if not live.all():
-            rows, t, eidx = rows[live], t[live], eidx[live]
-        u = edge_from[eidx]
-        v = edge_to[eidx]
-        sent = np.where(u == 0, t, ts[rows, u])
-        ts[rows, v] = np.maximum(ts[rows, v], sent)
+            base, t, eidx = base[live], t[live], eidx[live]
+        sent = np.where(from_source[eidx], t, ts.take(base + edge_from[eidx]))
+        dst = base + edge_to[eidx]
+        ts[dst] = np.maximum(ts.take(dst), sent)
 
+    ts = ts.reshape(size, width)
     out = []
     for ids in subset_ids:
         cols = ts[:, list(ids)]
@@ -275,15 +320,22 @@ def age_power_integral(start_age: float, duration: float, k: int) -> float:
     return ((start_age + duration) ** (k + 1) - start_age ** (k + 1)) / (k + 1)
 
 
-def check_timeavg(net: GossipNetwork, k_max: int, horizon: float, burn_in: float,
+def check_timeavg(net: GossipNetwork, k_max: int, horizon: float, burn_in: float | None,
                   batches: int = TIMEAVG_BATCHES) -> float:
-    """Check the time-average arguments before any work; return Lambda."""
+    """Check the time-average arguments before any work; return Lambda.
+
+    A burn-in of None, one still to be resolved by the pilot, checks only
+    that the horizon is positive.
+    """
     montecarlo.check_order(k_max)
     if batches < 2:
         raise ValueError(f"need at least 2 batches, got {batches}")
     if not math.isfinite(horizon):
         raise ValueError(f"horizon must be finite, got {horizon}")
-    if burn_in < 0 or not horizon > burn_in:
+    if burn_in is None:
+        if not horizon > 0.0:
+            raise ValueError(f"horizon must be positive, got {horizon}")
+    elif burn_in < 0 or not horizon > burn_in:
         raise ValueError(f"need 0 <= burn_in < horizon, got burn_in={burn_in}, horizon={horizon}")
     return _event_rate(net)
 

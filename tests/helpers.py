@@ -622,3 +622,47 @@ def timeavg_trace(
     if len(trace) < events:
         raise ValueError(f"trace holds {len(trace)} events, wanted {events}")
     return trace[:events]
+
+
+# ---- replication: the array-kernel reference --------------------------------
+#
+# The replica-block kernel as it stood before the bucketed edge pick and the
+# flat timestamp layout: one searchsorted per step and a 2-D timestamp
+# array.  ``simulate._replication_draw`` must return the same arrays.
+
+
+def reference_replication_draw(
+    net: GossipNetwork,
+    subset_ids: tuple[tuple[int, ...], ...],
+    horizon: float,
+    rng: np.random.Generator,
+    size: int,
+) -> list[np.ndarray]:
+    """Simulate one replica block; per subset return the ages at the horizon
+    of the replicas whose t_0 arrived before it."""
+    cum = net.rate_cumsum
+    total = float(cum[-1])
+    edge_from = np.array([e.from_node for e in net.edges], dtype=np.int64)
+    edge_to = np.array([e.to_node for e in net.edges], dtype=np.int64)
+    last = len(net.edges) - 1
+
+    ts = np.zeros((size, net.node_count + 1))
+    rows = np.arange(size)    # live replicas, ascending; t holds their clocks
+    t = np.zeros(size)
+    while rows.size:
+        t = t + rng.exponential(1.0 / total, rows.size)
+        eidx = np.minimum(np.searchsorted(cum, rng.random(rows.size) * total, side="right"), last)
+        live = t < horizon
+        if not live.all():
+            rows, t, eidx = rows[live], t[live], eidx[live]
+        u = edge_from[eidx]
+        v = edge_to[eidx]
+        sent = np.where(u == 0, t, ts[rows, u])
+        ts[rows, v] = np.maximum(ts[rows, v], sent)
+
+    out = []
+    for ids in subset_ids:
+        cols = ts[:, list(ids)]
+        informed = (cols > 0.0).all(axis=1)
+        out.append(horizon - cols.max(axis=1)[informed])
+    return out

@@ -253,7 +253,8 @@ def test_compare_line_network_passes(capsys, line_path):
     (["--horizon", "-1"], "horizon must be positive, got -1.0"),
     (["--horizon", "inf"], "horizon must be finite, got inf"),
     (["--samples", "1"], "need at least 2 samples, got 1"),
-], ids=["replicas", "horizon", "horizon-inf", "samples"])
+    (["--k", "0"], "moment order must be a positive integer, got 0"),
+], ids=["replicas", "horizon", "horizon-inf", "samples", "order"])
 def test_compare_rejects_replicas_and_horizon_before_any_work(capsys, line_path, monkeypatch,
                                                               option, message):
     def refuse(*args, **kwargs):
@@ -263,6 +264,25 @@ def test_compare_rejects_replicas_and_horizon_before_any_work(capsys, line_path,
     monkeypatch.setattr(moments, "solve_moments", refuse)
     monkeypatch.setattr(fpp, "estimate_moments", refuse)
     code = cli.main(["compare", "--network", line_path, "--subset", "2", *option])
+    assert code == 2
+    assert capsys.readouterr().err == f"gossip-aoi: error: {message}\n"
+
+
+@pytest.mark.parametrize("option, message", [
+    (["--replicas", "1"], "need at least 2 replicas, got 1"),
+    (["--k", "0"], "moment order must be a positive integer, got 0"),
+    (["--mode", "timeavg", "--horizon", "inf"], "horizon must be finite, got inf"),
+    (["--mode", "timeavg", "--horizon", "-1"], "horizon must be positive, got -1.0"),
+    (["--mode", "timeavg", "--horizon", "200", "--k", "0"],
+     "moment order must be a positive integer, got 0"),
+], ids=["replicas", "order", "timeavg-horizon-inf", "timeavg-horizon-negative", "timeavg-order"])
+def test_simulate_rejects_its_arguments_before_the_pilot(capsys, line_path, monkeypatch,
+                                                         option, message):
+    def refuse(*args, **kwargs):
+        raise AssertionError("simulate ran the pilot before checking its inputs")
+
+    monkeypatch.setattr(simulate, "pilot_t0", refuse)
+    code = cli.main(["simulate", "--network", line_path, "--subset", "2", *option])
     assert code == 2
     assert capsys.readouterr().err == f"gossip-aoi: error: {message}\n"
 

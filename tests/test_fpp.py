@@ -31,12 +31,13 @@ from helpers import (
 )
 
 
-def test_sample_weights_follow_the_edge_rate():
-    net = star_network(2.0)
-    rng = np.random.default_rng(31)
-    draws = np.array([sample_weights(net, rng).weights[0] for _ in range(1_000_000)])
-    assert np.all(draws > 0)
-    assert abs(draws.mean() - 0.5) <= 4 * (0.5 / 1e3)
+def test_exp_weights_follow_the_edge_rate():
+    net = star_network(2.0, 0.5)
+    weights = exp_weights(np.random.default_rng(31), 1_000_000, net.rates)
+    assert np.all(weights > 0)
+    for draws, rate in zip(weights, net.rates):
+        mean = 1.0 / rate
+        assert abs(draws.mean() - mean) <= 4 * (mean / 1e3)
 
 
 def test_sample_weights_deterministic_for_fixed_seed():

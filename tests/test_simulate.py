@@ -22,7 +22,13 @@ from gossip_aoi import (
     replication_results,
     solve_moments,
 )
-from gossip_aoi.simulate import _deliver, check_pending, default_horizon
+from gossip_aoi.simulate import (
+    _deliver,
+    _edge_picker,
+    _replication_draw,
+    check_pending,
+    default_horizon,
+)
 from helpers import (
     SimState,
     age_of,
@@ -31,6 +37,7 @@ from helpers import (
     new_state,
     random_network,
     reference_pilot_t0,
+    reference_replication_draw,
     reference_step,
     reference_timeavg,
     run_until,
@@ -295,6 +302,71 @@ def test_uniform_picks_the_edge_above_its_threshold(u, picked, monkeypatch):
     trace = ours[1]
     assert len(trace) == 39   # gaps of exactly 0.25 up to the horizon
     assert {row[1:3] for row in trace} == {net.edges[picked][:2]}
+
+
+def _lognormal_network(rng: np.random.Generator, n: int, sigma: float) -> GossipNetwork:
+    """A reachable random network whose rates span many orders of magnitude,
+    so that many thresholds crowd into a few pick buckets."""
+    net = random_network(rng, n, p=0.5, reachable=True)
+    rates = rng.lognormal(0.0, sigma, len(net.edges))
+    return GossipNetwork(node_count=n, edges=tuple(
+        Edge(e.from_node, e.to_node, float(r)) for e, r in zip(net.edges, rates)))
+
+
+def _pick_cases() -> list[np.ndarray]:
+    """rate_cumsum arrays: one edge, equal rates, uniform and lognormal
+    rates, rates too small to register beside the others, and a total so
+    small that buckets / Lambda overflows."""
+    rng = np.random.default_rng(70)
+    cases = [np.cumsum([1.5]), np.cumsum([0.25] * 8), np.cumsum([1.0, 1e-17, 1e-17, 2.0]),
+             np.cumsum([1e-310, 3e-310, 2e-310])]
+    for edges in (2, 3, 7, 50, 200):
+        cases.append(np.cumsum(rng.uniform(0.2, 5.0, edges)))
+        cases.append(np.cumsum(rng.lognormal(0.0, 3.0, edges)))
+    return cases
+
+
+@pytest.mark.parametrize("cum", _pick_cases(), ids=lambda cum: f"{len(cum)}-edges")
+def test_edge_picker_is_searchsorted_on_adversarial_keys(cum):
+    # Keys on and beside every threshold and every bucket edge, 0, Lambda
+    # and the largest key below it, and ordinary keys u * Lambda.
+    total = float(cum[-1])
+    buckets = 4 * len(cum)
+    edges = np.arange(buckets + 1) * (total / buckets)
+    marks = np.concatenate([cum, edges, [0.0, total]])
+    keys = np.concatenate([marks, np.nextafter(marks, -np.inf), np.nextafter(marks, np.inf),
+                           np.random.default_rng(71).random(1000) * total])
+    keys = keys[(keys >= 0.0) & (keys <= total)]
+    expected = np.minimum(np.searchsorted(cum, keys, side="right"), len(cum) - 1)
+    assert np.array_equal(_edge_picker(cum)(keys), expected)
+
+
+def _kernel_cases() -> list[tuple[GossipNetwork, tuple[tuple[int, ...], ...], float, int]]:
+    """(network, subsets, horizon, block size) covering a one-edge network,
+    uniform and lognormal rates, unreachable nodes and ragged block sizes."""
+    rng = np.random.default_rng(72)
+    nets = [star_network(1.5), line_network(1.0, 2.0)]
+    nets += [random_network(rng, n, p=0.4, reachable=bool(n % 2)) for n in (2, 3, 4, 5, 6, 7, 8, 10)]
+    nets += [_lognormal_network(rng, n, sigma) for n, sigma in ((3, 2.0), (5, 3.0), (6, 4.0), (8, 3.0))]
+    nets.append(random_network(rng, 12, p=0.3, reachable=True))
+    sizes = (257, 7, 1, 777, 2048, 7, 777, 2048, 300, 1025, 2048, 777, 1537, 1000, 2048)
+    cases = []
+    for i, (net, size) in enumerate(zip(nets, sizes, strict=True)):
+        full = tuple(range(1, net.node_count + 1))
+        subsets = (full, (net.node_count,), full[::2])
+        horizon = 40.0 / net.total_rate * (1 + i % 3)    # 40 to 120 events per replica
+        cases.append((net, subsets, horizon, size))
+    return cases
+
+
+def test_replication_kernel_is_bitwise_the_reference_kernel():
+    for i, (net, subsets, horizon, size) in enumerate(_kernel_cases()):
+        cell = (73, montecarlo.STREAM_REPLICATION, i)
+        ours = _replication_draw(net, subsets, horizon, montecarlo.block_rng(*cell), size)
+        ref = reference_replication_draw(net, subsets, horizon, montecarlo.block_rng(*cell), size)
+        assert len(ours) == len(ref) == len(subsets)
+        for a, b in zip(ours, ref):
+            assert np.array_equal(a, b), (i, net, subsets)
 
 
 def test_replication_star_and_line_moments():
