@@ -13,18 +13,14 @@ from .fpp import (
 )
 from .lattice import (
     LatticeBox,
-    TimeConstantEstimate,
     box_recursion,
     build_box,
     mc_boundary_passage,
-    time_constant_estimate,
 )
 from .moments import (
     MemoLimitError,
     MomentSolver,
     MomentTable,
-    expected_age,
-    solve_all,
     solve_moments,
 )
 from .montecarlo import MomentEstimate
@@ -39,8 +35,6 @@ from .network import (
 from .simulate import (
     PendingReplicasError,
     ReplicationResult,
-    age_power_integral,
-    default_burn_in,
     estimate_moments_replication,
     estimate_moments_timeavg,
     pilot_t0,
@@ -61,23 +55,17 @@ __all__ = [
     "NodeSubset",
     "PendingReplicasError",
     "ReplicationResult",
-    "TimeConstantEstimate",
     "UnreachableTargetError",
-    "age_power_integral",
     "as_subset",
     "box_recursion",
     "build_box",
-    "default_burn_in",
     "estimate_moments",
     "estimate_moments_replication",
     "estimate_moments_subsets",
     "estimate_moments_timeavg",
-    "expected_age",
     "load_network",
     "mc_boundary_passage",
     "pilot_t0",
     "replication_results",
-    "solve_all",
     "solve_moments",
-    "time_constant_estimate",
 ]

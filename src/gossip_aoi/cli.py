@@ -12,39 +12,17 @@ import argparse
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from functools import partial
 from pathlib import Path
 from typing import Any, Sequence
 
 from . import __version__, fpp, lattice, moments, reporting, simulate
-from .montecarlo import check_order, check_seed
+from .montecarlo import LATTICE_BLOCK, block_sizes, check_order, check_seed, check_workers
 from .network import GossipNetwork, NetworkConfigError, NodeSubset, load_network
 from .reporting import SCHEMA_VERSION, TOOL_NAME
 
 WORKERS_ENV = "GOSSIP_AOI_WORKERS"
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved, result-affecting parameters of one CLI invocation."""
-
-    command: str
-    network: str | None = None
-    subset: tuple[int, ...] | None = None
-    k: int | None = None
-    samples: int | None = None
-    replicas: int | None = None
-    horizon: float | None = None
-    burn_in: float | None = None
-    mode: str | None = None
-    d: int | None = None
-    ell: int | None = None
-    se_threshold: float | None = None
-    seed: int = 0
-
-    def echo(self) -> dict[str, Any]:
-        return {key: value for key, value in asdict(self).items() if value is not None}
 
 
 def _parse_subset(text: str) -> tuple[int, ...]:
@@ -123,26 +101,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _document(config: RunConfig, results: dict[str, Any]) -> dict[str, Any]:
+def _document(config: dict[str, Any], results: dict[str, Any]) -> dict[str, Any]:
     return {
         "schema": SCHEMA_VERSION,
         "tool": TOOL_NAME,
         "version": __version__,
-        "command": config.command,
-        "seed": config.seed,
-        "config": config.echo(),
+        "command": config["command"],
+        "seed": config["seed"],
+        "config": config,
         "results": results,
     }
 
 
-def _csv_preamble(config: RunConfig) -> str:
+def _csv_preamble(config: dict[str, Any]) -> str:
     import json
 
-    echo = json.dumps(reporting.json_ready(config.echo()), sort_keys=True, separators=(",", ":"))
+    echo = json.dumps(reporting.json_ready(config), sort_keys=True, separators=(",", ":"))
     return f"# {TOOL_NAME} {__version__} schema={SCHEMA_VERSION} config={echo}\n"
 
 
-def _emit(config: RunConfig, results: dict[str, Any], header: Sequence[str],
+def _emit(config: dict[str, Any], results: dict[str, Any], header: Sequence[str],
           rows: Sequence[Sequence[Any]], fmt: str, out: str | None) -> None:
     if fmt == "json":
         text = reporting.render_json(_document(config, results))
@@ -164,10 +142,10 @@ def _load(path: str) -> GossipNetwork:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     net = _load(args.network)
-    config = RunConfig(command="solve", network=args.network, subset=args.subset,
-                       k=args.k, seed=check_seed(args.seed))
+    config = {"command": "solve", "network": args.network, "k": args.k, "seed": check_seed(args.seed)}
     solver = moments.MomentSolver(net, args.k, memo_limit=args.memo_limit)
     if args.subset is not None:
+        config["subset"] = args.subset
         vector = solver.solve(args.subset)
         results: dict[str, Any] = {
             "subset": list(net.check_subset(args.subset).ids()),
@@ -191,8 +169,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_fpp(args: argparse.Namespace) -> int:
     net = _load(args.network)
-    config = RunConfig(command="fpp", network=args.network, subset=args.subset,
-                       k=args.k, samples=args.samples, seed=check_seed(args.seed))
+    config = {"command": "fpp", "network": args.network, "subset": args.subset,
+              "k": args.k, "samples": args.samples, "seed": check_seed(args.seed)}
     estimates = fpp.estimate_moments(net, args.subset, args.k, args.samples,
                                      seed=args.seed, workers=args.workers)
     results = {
@@ -217,9 +195,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         horizon = args.horizon
         if horizon is None:
             horizon = simulate.default_horizon(net, subset, seed=seed)
-        config = RunConfig(command="simulate", network=args.network, subset=args.subset,
-                           k=args.k, replicas=args.replicas, horizon=horizon,
-                           mode=args.mode, seed=seed)
+        config = {"command": "simulate", "network": args.network, "subset": args.subset,
+                  "k": args.k, "replicas": args.replicas, "horizon": horizon,
+                  "mode": args.mode, "seed": seed}
         result = simulate.replication_results(net, [subset], args.k, args.replicas,
                                               horizon, seed=seed, workers=args.workers)[subset]
         simulate.check_pending(result, subset, horizon)
@@ -235,9 +213,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             # The pilot's burn-in must still lie below the horizon; check it
             # before opening the trace, so a rejected call leaves no file.
             simulate.check_timeavg(net, args.k, args.horizon, burn_in)
-        config = RunConfig(command="simulate", network=args.network, subset=args.subset,
-                           k=args.k, horizon=args.horizon, burn_in=burn_in,
-                           mode=args.mode, seed=seed)
+        config = {"command": "simulate", "network": args.network, "subset": args.subset,
+                  "k": args.k, "horizon": args.horizon, "burn_in": burn_in,
+                  "mode": args.mode, "seed": seed}
         run = partial(simulate.estimate_moments_timeavg, net, subset, args.k, args.horizon,
                       burn_in, seed=seed)
         if args.trace:
@@ -256,16 +234,17 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_lattice(args: argparse.Namespace) -> int:
     seed = check_seed(args.seed)
-    config = RunConfig(command="lattice", d=args.d, ell=args.ell,
-                       samples=args.samples, seed=seed)
-    exact = lattice.time_constant_estimate(args.d, args.ell)
+    block_sizes(args.samples, LATTICE_BLOCK)   # reject a bad count before the exact solve
+    config = {"command": "lattice", "d": args.d, "ell": args.ell,
+              "samples": args.samples, "seed": seed}
+    raw = lattice.time_constant_estimate(args.d, args.ell)
     mc = lattice.mc_boundary_passage(args.d, args.ell, args.samples,
                                      seed=seed, workers=args.workers)
     results = {
-        "d": exact.d,
-        "ell": exact.ell,
-        "raw": exact.raw,
-        "normalized": exact.normalized,
+        "d": args.d,
+        "ell": args.ell,
+        "raw": raw,
+        "normalized": raw / args.ell,
         "mc_mean": mc.mean,
         "mc_se": mc.std_error,
         "samples": mc.sample_count,
@@ -287,9 +266,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     horizon = args.horizon
     if horizon is None:
         horizon = simulate.default_horizon(net, subset, seed=seed)
-    config = RunConfig(command="compare", network=args.network, subset=args.subset,
-                       k=args.k, samples=args.samples, replicas=args.replicas,
-                       horizon=horizon, se_threshold=args.se_threshold, seed=seed)
+    config = {"command": "compare", "network": args.network, "subset": args.subset,
+              "k": args.k, "samples": args.samples, "replicas": args.replicas,
+              "horizon": horizon, "se_threshold": args.se_threshold, "seed": seed}
     vector = moments.solve_moments(net, subset, args.k)
     fpp_estimates = fpp.estimate_moments(net, subset, args.k, args.samples,
                                          seed=seed, workers=args.workers)
@@ -328,6 +307,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         if getattr(args, "workers", None) is None:
             args.workers = _default_workers()
+        check_workers(args.workers)
         code = _HANDLERS[args.command](args)
     except (NetworkConfigError, ValueError, RuntimeError) as exc:
         print(f"{TOOL_NAME}: error: {exc}", file=sys.stderr)

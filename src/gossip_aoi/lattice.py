@@ -161,23 +161,11 @@ def box_recursion(box: LatticeBox, cluster: Iterable[Vertex]) -> float:
     return MomentSolver(box.network, 1).solve(NodeSubset(mask))[1]
 
 
-@dataclass(frozen=True)
-class TimeConstantEstimate:
-    """Box passage value from the origin, raw and per unit radius."""
-
-    d: int
-    ell: int
-    raw: float
-    normalized: float
-
-
-def time_constant_estimate(d: int, ell: int) -> TimeConstantEstimate:
-    """Exact origin-to-boundary expectation for the radius-ell box, reported
-    both raw and divided by ell.  Neither is claimed to be the infinite-
-    lattice time constant; the normalized sequence merely tracks it."""
-    box = build_box(d, ell)
-    raw = box_recursion(box, [(0,) * d])
-    return TimeConstantEstimate(d=d, ell=ell, raw=raw, normalized=raw / ell)
+def time_constant_estimate(d: int, ell: int) -> float:
+    """Exact origin-to-boundary expectation for the radius-ell box.  Divided
+    by ell it tracks, but is not claimed to be, the infinite-lattice time
+    constant."""
+    return box_recursion(build_box(d, ell), [(0,) * d])
 
 
 def _lattice_draw(box: LatticeBox, rng: np.random.Generator, size: int) -> list[np.ndarray]:

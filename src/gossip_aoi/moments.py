@@ -17,7 +17,9 @@ is one dynamic program over popcount layers, run from the largest subsets
 down by one layer step, ``MomentSolver._layer``.  ``MomentSolver.solve``
 runs it over the closure of its subset, every subset S can grow into (for a
 lattice box, the Eden clusters grown from S), built forward layer by layer;
-``solve_all`` runs it over all 2^N subsets, indexed by mask.  There is no
+``solve_all`` runs it over all 2^N subsets, row ``mask >> 1`` for the subset
+``mask``, and its ``MomentTable`` keeps that array less row 0 and column v^0:
+row ``mask // 2 - 1`` of ``entries`` holds v^1..v^K of ``mask``.  There is no
 memo: a closure is what a memo would hold, and a numpy layer costs far less
 per state than a Python recursion step.  Each row adds its boundary edges
 in canonical edge order, left to right from 0.0, so both queries agree bit
@@ -26,7 +28,6 @@ for bit with the memoized recursion that the tests keep as the reference.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -48,45 +49,37 @@ def _memo_limit_error(limit: int) -> MemoLimitError:
     return MemoLimitError(f"memo table exceeded {limit} subsets; raise memo_limit to continue")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MomentTable:
-    """Moment vectors (v^0..v^K) for every non-empty subset, keyed by bitmask."""
+    """Moment vectors v^1..v^K for every non-empty subset of an N-node network.
+
+    ``entries`` is a read-only (2^N - 1, K) array whose row ``mask // 2 - 1``
+    holds the subset ``mask``; v^0 = 1 is not stored.
+    """
 
     k_max: int
-    entries: dict[int, tuple[float, ...]]
+    entries: np.ndarray
 
     def get(self, subset: NodeSubset | Iterable[int]) -> tuple[float, ...]:
-        return self.entries[as_subset(subset).mask]
+        return (1.0, *self.entries[as_subset(subset).mask // 2 - 1].tolist())
 
     def csv_header(self) -> list[str]:
         return ["subset"] + [f"v{k}" for k in range(1, self.k_max + 1)]
 
     def csv_rows(self) -> list[list[str | float]]:
         """Rows of label and v^1..v^K; the renderers write +inf as ``inf``."""
-        return [[label, *self.entries[mask][1:]] for mask, label in self._labels()]
+        return [[label, *row] for label, row in zip(self._labels(), self.entries.tolist())]
 
     def json_map(self) -> dict[str, list[float]]:
-        return {label: list(self.entries[mask][1:]) for mask, label in self._labels()}
+        return dict(zip(self._labels(), self.entries.tolist()))
 
-    def _labels(self) -> list[tuple[int, str]]:
-        """(mask, "i,j,...") in ascending mask order.
-
-        A mask's label extends the label of the mask without its highest bit,
-        which sorts earlier, so a full table builds each label with one join.
-        """
-        labels: dict[int, str] = {}
-        out = []
-        for mask in sorted(self.entries):
-            top = mask.bit_length() - 1
-            rest = mask ^ (1 << top)
-            if rest:
-                prefix = labels.get(rest) or ",".join(map(str, NodeSubset(rest).ids()))
-                label = f"{prefix},{top}"
-            else:
-                label = str(top)
-            labels[mask] = label
-            out.append((mask, label))
-        return out
+    def _labels(self) -> list[str]:
+        """The label "i,j,..." of every row, in row order.  The rows with
+        highest node v repeat all earlier rows with v added, in order."""
+        labels = [""]
+        for node in range(1, len(self.entries).bit_length() + 1):
+            labels += [f"{rest},{node}" if rest else str(node) for rest in labels]
+        return labels[1:]
 
 
 class MomentSolver:
@@ -178,8 +171,8 @@ class MomentSolver:
                 part = layer[start:start + TABLE_CHUNK]
                 edge, row = self._boundary(part)
                 table[part] = self._layer(part, edge, row, table, part[row] | self._u_bits[edge])
-        columns = [table[1:, k].tolist() for k in range(1, self.k_max + 1)]
-        entries = dict(zip(range(2, size << 1, 2), zip(itertools.repeat(1.0), *columns)))
+        entries = table[1:, 1:]
+        entries.flags.writeable = False
         return MomentTable(k_max=self.k_max, entries=entries)
 
     def _boundary(self, layer: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -226,14 +219,3 @@ def solve_moments(
 ) -> tuple[float, ...]:
     """Exact moment vector (v^0..v^k_max) of the minimum age over ``subset``."""
     return MomentSolver(net, k_max, memo_limit).solve(subset)
-
-
-def solve_all(net: GossipNetwork, k_max: int, memo_limit: int = DEFAULT_MEMO_LIMIT) -> MomentTable:
-    """Exact moment vectors for every non-empty subset of a small network."""
-    return MomentSolver(net, k_max, memo_limit).solve_all()
-
-
-def expected_age(net: GossipNetwork, subset: NodeSubset | Iterable[int]) -> float:
-    """Steady-state expected minimum age over the subset."""
-    return solve_moments(net, subset, 1)[1]
-

@@ -70,6 +70,11 @@ def check_order(k_max: int) -> int:
     return k_max
 
 
+def check_workers(workers: int) -> None:
+    if workers < 1:
+        raise ValueError(f"worker count must be positive, got {workers}")
+
+
 def block_sizes(total: int, block: int) -> list[int]:
     """Split ``total`` items into fixed-size blocks (last one ragged)."""
     if total < 1:
@@ -84,8 +89,7 @@ def map_blocks(fn: Callable[[int], T], n_blocks: int, workers: int = 1) -> list[
     ``fn`` must be picklable (a module-level function or functools.partial of
     one) when workers > 1.
     """
-    if workers < 1:
-        raise ValueError(f"worker count must be positive, got {workers}")
+    check_workers(workers)
     if workers == 1 or n_blocks <= 1:
         return [fn(b) for b in range(n_blocks)]
     with ProcessPoolExecutor(max_workers=min(workers, n_blocks)) as pool:

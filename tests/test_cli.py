@@ -10,7 +10,7 @@ import math
 
 import pytest
 
-from gossip_aoi import cli, fpp, moments, simulate
+from gossip_aoi import cli, fpp, lattice, moments, simulate
 from gossip_aoi.moments import MomentTable
 from gossip_aoi.reporting import json_ready, render_csv, render_json
 
@@ -234,6 +234,21 @@ def test_lattice_reports_exact_and_mc_values(capsys):
     assert results["normalized"] == pytest.approx(0.625, abs=1e-12)
     assert results["samples"] == 30000
     assert abs(results["mc_mean"] - 1.25) <= 4 * results["mc_se"]
+
+
+@pytest.mark.parametrize("option, message", [
+    (["--samples", "0"], "sample count must be positive, got 0"),
+    (["--samples", "-5"], "sample count must be positive, got -5"),
+    (["--workers", "0"], "worker count must be positive, got 0"),
+], ids=["samples-zero", "samples-negative", "workers"])
+def test_lattice_rejects_its_arguments_before_the_exact_solve(capsys, monkeypatch, option, message):
+    def refuse(*args, **kwargs):
+        raise AssertionError("lattice ran the exact solve before checking its inputs")
+
+    monkeypatch.setattr(lattice, "time_constant_estimate", refuse)
+    code = cli.main(["lattice", "--d", "10", "--ell", "2", *option])
+    assert code == 2
+    assert capsys.readouterr().err == f"gossip-aoi: error: {message}\n"
 
 
 def test_compare_line_network_passes(capsys, line_path):

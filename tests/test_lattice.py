@@ -14,9 +14,8 @@ from gossip_aoi import (
     box_recursion,
     build_box,
     mc_boundary_passage,
-    time_constant_estimate,
 )
-from gossip_aoi.lattice import RECURSION_CAP
+from gossip_aoi.lattice import RECURSION_CAP, time_constant_estimate
 from helpers import reference_box_recursion
 
 
@@ -73,6 +72,19 @@ def test_one_dimensional_value_matches_the_survival_integral():
     value, error = integrate.quad(lambda t: (1 + t) ** 2 * math.exp(-2 * t), 0, np.inf)
     assert error < 1e-9
     assert box_recursion(build_box(1, 2), [(0,)]) == pytest.approx(value, abs=1e-9)
+
+
+def test_radius_two_box_matches_its_closed_form():
+    # A cluster grown from the origin of the radius-2 box is the origin and
+    # m of its 2d neighbours.  It has 2d - m edges to free neighbours and
+    # 2d - 1 boundary edges per neighbour, so by symmetry its value v(m)
+    # depends on m alone, and the recursion runs down from the full cluster.
+    for d in range(1, 9):
+        v = 1 / (2 * d * (2 * d - 1))
+        for m in range(2 * d - 1, -1, -1):
+            v = (1 + (2 * d - m) * v) / (2 * d + m * (2 * d - 2))
+        assert box_recursion(build_box(d, 2), [(0,) * d]) == pytest.approx(v, rel=1e-15, abs=0), d
+    assert v == pytest.approx(0.11051259394984314, rel=1e-15, abs=0)
 
 
 def test_recursion_boundary_cluster_is_zero():
@@ -176,16 +188,13 @@ def test_box_closure_links_stay_small():
 
 
 def test_raw_values_grow_with_the_radius():
-    raws = [time_constant_estimate(2, ell).raw for ell in (1, 2, 3)]
+    raws = [time_constant_estimate(2, ell) for ell in (1, 2, 3)]
     assert raws[0] < raws[1] < raws[2]
 
 
 def test_time_constant_estimates():
-    one = time_constant_estimate(1, 1)
-    assert (one.raw, one.normalized) == (0.5, 0.5)
-    two = time_constant_estimate(1, 2)
-    assert two.raw == pytest.approx(1.25, abs=1e-12)
-    assert two.normalized == pytest.approx(0.625, abs=1e-12)
+    assert time_constant_estimate(1, 1) == 0.5
+    assert time_constant_estimate(1, 2) == pytest.approx(1.25, abs=1e-12)
 
 
 def test_mc_boundary_passage_matches_known_values():
@@ -198,7 +207,7 @@ def test_mc_boundary_passage_matches_known_values():
 
 
 def test_mc_matches_the_recursion_in_two_dimensions():
-    exact = time_constant_estimate(2, 2).raw
+    exact = time_constant_estimate(2, 2)
     est = mc_boundary_passage(2, 2, 200_000, seed=74)
     assert abs(est.mean - exact) <= 4 * est.std_error
 

@@ -13,9 +13,7 @@ from gossip_aoi import (
     GossipNetwork,
     MemoLimitError,
     MomentSolver,
-    expected_age,
     moments,
-    solve_all,
     solve_moments,
 )
 from gossip_aoi.reporting import render_csv, render_json
@@ -35,7 +33,6 @@ def test_line_network_first_two_moments():
     assert v[0] == 1.0
     assert v[1] == pytest.approx(1.5, abs=1e-12)
     assert v[2] == pytest.approx(3.5, abs=1e-12)
-    assert expected_age(net, [2]) == pytest.approx(1.5, abs=1e-12)
 
 
 def test_star_moments_are_scaled_factorials():
@@ -63,7 +60,7 @@ def test_unreachable_subset_is_infinite_and_diagnosed():
 
 
 def test_solve_all_line_table():
-    table = solve_all(line_network(1.0, 2.0), 1)
+    table = MomentSolver(line_network(1.0, 2.0), 1).solve_all()
     assert len(table.entries) == 3
     assert table.get([1])[1] == pytest.approx(1.0, abs=1e-12)
     assert table.get([2])[1] == pytest.approx(1.5, abs=1e-12)
@@ -72,7 +69,7 @@ def test_solve_all_line_table():
 
 def test_solve_all_enumerates_every_subset():
     rng = np.random.default_rng(21)
-    table = solve_all(random_network(rng, 10, p=0.3), 1)
+    table = MomentSolver(random_network(rng, 10, p=0.3), 1).solve_all()
     assert len(table.entries) == 1023
 
 
@@ -104,9 +101,9 @@ def test_solve_all_matches_memo_recursion_bitwise():
 def test_solve_all_is_independent_of_the_chunking(monkeypatch):
     rng = np.random.default_rng(27)
     nets = [random_network(rng, n, p=0.4, reachable=n % 2 == 0) for n in (5, 8, 9)]
-    whole = [solve_all(net, 3).entries for net in nets]
+    whole = [MomentSolver(net, 3).solve_all().entries.tolist() for net in nets]
     monkeypatch.setattr(moments, "TABLE_CHUNK", 7)
-    assert [solve_all(net, 3).entries for net in nets] == whole
+    assert [MomentSolver(net, 3).solve_all().entries.tolist() for net in nets] == whole
 
 
 def test_first_moment_recursion_matches_k1_row():
@@ -174,7 +171,7 @@ def test_solve_all_node_cap():
     edges = tuple(Edge(0, v, 1.0) for v in range(1, 22))
     net = GossipNetwork(node_count=21, edges=edges)
     with pytest.raises(ValueError, match="capped"):
-        solve_all(net, 1)
+        MomentSolver(net, 1).solve_all()
 
 
 def test_memo_limit_is_enforced():
@@ -205,7 +202,7 @@ def test_largest_memo_limit_is_accepted():
 
 def test_table_renders_infinities():
     net = GossipNetwork(node_count=2, edges=(Edge(0, 1, 1.0),))
-    table = solve_all(net, 2)
+    table = MomentSolver(net, 2).solve_all()
     # The table hands over floats; the renderers write +inf as "inf".
     assert render_csv(table.csv_header(), table.csv_rows()) == (
         'subset,v1,v2\n1,1.0,2.0\n2,inf,inf\n"1,2",1.0,2.0\n'

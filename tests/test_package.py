@@ -1,0 +1,49 @@
+"""The package's public surface."""
+
+from __future__ import annotations
+
+import pytest
+
+import gossip_aoi
+from helpers import line_network
+
+PUBLIC_NAMES = [
+    "Edge",
+    "GossipNetwork",
+    "LatticeBox",
+    "MemoLimitError",
+    "MomentEstimate",
+    "MomentSolver",
+    "MomentTable",
+    "NetworkConfigError",
+    "NodeSubset",
+    "PendingReplicasError",
+    "ReplicationResult",
+    "UnreachableTargetError",
+    "as_subset",
+    "box_recursion",
+    "build_box",
+    "estimate_moments",
+    "estimate_moments_replication",
+    "estimate_moments_subsets",
+    "estimate_moments_timeavg",
+    "load_network",
+    "mc_boundary_passage",
+    "pilot_t0",
+    "replication_results",
+    "solve_moments",
+]
+
+
+def test_all_is_exactly_the_public_names_and_each_resolves():
+    assert sorted(gossip_aoi.__all__) == PUBLIC_NAMES
+    for name in PUBLIC_NAMES:
+        assert getattr(gossip_aoi, name) is not None, name
+
+
+def test_moment_table_entries_are_read_only():
+    table = gossip_aoi.MomentSolver(line_network(1.0, 2.0), 2).solve_all()
+    assert table.entries.shape == (3, 2)
+    assert not table.entries.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        table.entries[0, 0] = 0.0

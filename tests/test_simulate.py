@@ -14,7 +14,6 @@ from gossip_aoi import (
     GossipNetwork,
     PendingReplicasError,
     ReplicationResult,
-    age_power_integral,
     estimate_moments_replication,
     estimate_moments_timeavg,
     montecarlo,
@@ -26,6 +25,7 @@ from gossip_aoi.simulate import (
     _deliver,
     _edge_picker,
     _replication_draw,
+    age_power_integral,
     check_pending,
     default_horizon,
 )
@@ -44,15 +44,6 @@ from helpers import (
     star_network,
     timeavg_trace,
 )
-
-
-def test_edge_selection_frequencies_follow_the_rates():
-    net = star_network(1.0, 3.0)
-    n = 1_000_000
-    hits = sum(to == 1 for _, _, to, _ in timeavg_trace(net, n, seed=41))
-    freq = hits / n
-    se = math.sqrt(0.25 * 0.75 / n)
-    assert abs(freq - 0.25) <= 4 * se
 
 
 def test_source_ring_delivers_the_current_time():
