@@ -3,7 +3,9 @@
 Every command emits a versioned report (JSON by default, CSV with
 --format csv) to stdout or --out.  Reports are deterministic for a fixed
 seed — including across --workers settings — so the wall-clock runtime is
-logged to stderr rather than embedded in the document.
+logged to stderr rather than embedded in the document.  ``compare`` runs
+the first-passage and replication blocks through one worker pool; each
+route is still reduced on its own, so the bytes do not depend on it.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from functools import partial
 from pathlib import Path
 from typing import Any, Sequence
 
-from . import __version__, fpp, lattice, moments, reporting, simulate
+from . import __version__, fpp, lattice, moments, montecarlo, reporting, simulate
 from .montecarlo import LATTICE_BLOCK, block_sizes, check_order, check_seed, check_workers
 from .network import GossipNetwork, NetworkConfigError, NodeSubset, load_network
 from .reporting import SCHEMA_VERSION, TOOL_NAME
@@ -190,6 +192,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.mode == "replication":
         if args.trace is not None:
             raise NetworkConfigError("--trace requires --mode timeavg (a single trajectory)")
+        if args.burn_in is not None:
+            raise NetworkConfigError("--burn-in requires --mode timeavg")
         check_order(args.k)
         simulate.check_replication(args.replicas, args.horizon)
         horizon = args.horizon
@@ -261,6 +265,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     subset = net.check_subset(args.subset)
     if args.samples < 2:
         raise ValueError(f"need at least 2 samples, got {args.samples}")
+    if not args.se_threshold > 0.0:
+        raise ValueError(f"se threshold must be positive, got {args.se_threshold}")
     check_order(args.k)
     simulate.check_replication(args.replicas, args.horizon)
     horizon = args.horizon
@@ -269,12 +275,14 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     config = {"command": "compare", "network": args.network, "subset": args.subset,
               "k": args.k, "samples": args.samples, "replicas": args.replicas,
               "horizon": horizon, "se_threshold": args.se_threshold, "seed": seed}
+    jobs = [fpp.passage_job(net, [subset], args.k, args.samples),
+            simulate.replication_job(net, [subset], args.k, args.replicas, horizon)]
     vector = moments.solve_moments(net, subset, args.k)
-    fpp_estimates = fpp.estimate_moments(net, subset, args.k, args.samples,
-                                         seed=seed, workers=args.workers)
-    sim_estimates = simulate.estimate_moments_replication(net, subset, args.k, args.replicas,
-                                                          horizon, seed=seed, workers=args.workers)
-    rows = reporting.build_compare_rows(vector, fpp_estimates, sim_estimates, args.se_threshold)
+    # One pool for both routes: the replication block runs beside the FPP blocks.
+    [(_, fpp_estimates)], [sim_group] = montecarlo.sample_moments(jobs, seed, args.workers)
+    sim = simulate.ReplicationResult.from_group(args.replicas, sim_group)
+    simulate.check_pending(sim, subset, horizon)
+    rows = reporting.build_compare_rows(vector, fpp_estimates, sim.estimates, args.se_threshold)
     all_pass = all(row.passed for row in rows)
     results = {
         "subset": list(subset.ids()),

@@ -18,12 +18,13 @@ because that order fixes which RNG output lands on which (sample, edge)
 cell; ``exp_weights`` transposes them into the node-major buffer as it
 draws.  The lattice sampler uses the same two functions with unit rates.
 
-Each block is one draw of ``montecarlo.sample_moments``: it returns every
-subset's passage times, and the pipeline turns them into power sums and
-adds those in block order.  Reachability is a property of the graph, since
-every weight is finite: a subset with no member reachable from the source
-raises ``UnreachableTargetError`` before any block is drawn, and every
-other subset's passage times are finite.
+``passage_job`` makes the job that ``montecarlo.sample_moments`` runs; each
+block is one draw: it returns every subset's passage times, and the pipeline
+turns them into power sums and adds those in block order.  Reachability is a
+property of the graph, since every weight is finite: a subset with no member
+reachable from the source raises ``UnreachableTargetError`` when the job is
+made, before any block is drawn, and every other subset's passage times are
+finite.
 """
 
 from __future__ import annotations
@@ -115,6 +116,27 @@ def _fpp_draw(
     return [dist[list(ids)].min(axis=0) for ids in subset_ids]
 
 
+def passage_job(
+    net: GossipNetwork, subsets: Sequence[NodeSubset], k_max: int, samples: int
+) -> montecarlo.Job:
+    """The pipeline job that samples the passage times of ``subsets``
+    (checked and distinct), one group per subset.
+
+    Bad arguments, then an unreachable subset, are reported here, before
+    any block is drawn.
+    """
+    montecarlo.check_order(k_max)
+    montecarlo.block_sizes(samples, montecarlo.FPP_BLOCK)
+    for s in subsets:
+        if not s.mask & net.reachable:
+            raise UnreachableTargetError(
+                f"subset {s}: {samples} of {samples} samples have infinite passage time; "
+                "no member is reachable from the source"
+            )
+    draw = partial(_fpp_draw, net, tuple(s.ids() for s in subsets))
+    return draw, k_max, samples, montecarlo.FPP_BLOCK, montecarlo.STREAM_FPP
+
+
 def estimate_moments_subsets(
     net: GossipNetwork,
     subsets: Iterable[NodeSubset | Iterable[int]],
@@ -125,20 +147,9 @@ def estimate_moments_subsets(
 ) -> dict[NodeSubset, list[MomentEstimate]]:
     """Empirical passage-time moments for several subsets sharing one sample set."""
     checked = list(dict.fromkeys(map(net.check_subset, subsets)))
-    # Bad arguments are reported before reachability, as the pipeline would.
-    montecarlo.check_order(k_max)
     montecarlo.check_seed(seed)
-    montecarlo.block_sizes(samples, montecarlo.FPP_BLOCK)
-    for s in checked:
-        if not s.mask & net.reachable:
-            raise UnreachableTargetError(
-                f"subset {s}: {samples} of {samples} samples have infinite passage time; "
-                "no member is reachable from the source"
-            )
-    draw = partial(_fpp_draw, net, tuple(s.ids() for s in checked))
-    groups = montecarlo.sample_moments(
-        draw, k_max, samples, montecarlo.FPP_BLOCK, seed, montecarlo.STREAM_FPP, workers
-    )
+    job = passage_job(net, checked, k_max, samples)
+    [groups] = montecarlo.sample_moments([job], seed, workers)
     return {s: estimates for s, (_, estimates) in zip(checked, groups)}
 
 

@@ -181,8 +181,7 @@ def mc_boundary_passage(
 ) -> MomentEstimate:
     """Monte-Carlo mean passage time from the origin to the box boundary."""
     box = build_box(d, ell)
-    [(_, estimates)] = montecarlo.sample_moments(
-        partial(_lattice_draw, box), 1, samples, montecarlo.LATTICE_BLOCK, seed,
-        montecarlo.STREAM_LATTICE, workers,
-    )
+    job = (partial(_lattice_draw, box), 1, samples, montecarlo.LATTICE_BLOCK,
+           montecarlo.STREAM_LATTICE)
+    [[(_, estimates)]] = montecarlo.sample_moments([job], seed, workers)
     return estimates[0]

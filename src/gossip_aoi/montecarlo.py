@@ -1,16 +1,22 @@
 """Shared Monte-Carlo plumbing: one block-sample-reduce pipeline.
 
 ``sample_moments`` serves the first-passage sampler, the replication
-simulator and the lattice sampler.  Work is split into fixed-size blocks,
-each owning an RNG stream derived from (master seed, stream tag, block
-index).  A block calls ``draw(rng, size)``, which returns one array per
-group (a subset, or the box boundary) holding the observations the group
-keeps; a draw drops what it cannot observe (a replica still uninformed at
-the horizon), so the kept count may fall short of ``size``.  The worker
-reduces each array to its power sums at once, so only k_max-long vectors
-leave it.  The sums are added per group in block order, so estimates are
-bit-identical across runs and across worker counts; the worker pool only
-changes who computes a block, never what it contains.
+simulator and the lattice sampler.  It runs a list of jobs, each
+``(draw, k_max, total, block, stream)``.  A job's work is split into
+fixed-size blocks, each owning an RNG stream derived from (master seed,
+stream tag, block index).  A block calls ``draw(rng, size)``, which returns
+one array per group (a subset, or the box boundary) holding the
+observations the group keeps; a draw drops what it cannot observe (a
+replica still uninformed at the horizon), so the kept count may fall short
+of ``size``.  The worker reduces each array to its power sums at once, so
+only k_max-long vectors leave it.  The blocks of all jobs go through one
+``map_blocks`` call, interleaved round robin (block 0 of every job, then
+block 1, ...), so ``compare``'s one replication block starts at once on one
+core while the first-passage blocks fill the other.  Each job's sums are
+added per group in its own block order, so estimates are bit-identical
+across runs, across worker counts and whether a job runs alone or beside
+others; the worker pool only changes who computes a block, never what it
+contains.
 """
 
 from __future__ import annotations
@@ -133,27 +139,48 @@ def moments_from_power_sums(
 Draw = Callable[[np.random.Generator, int], Sequence[np.ndarray]]
 
 
+# (draw, k_max, total, block, stream): ``total`` draws on ``stream`` in
+# ``block``-sized blocks, reduced to moments up to order ``k_max``.
+Job = tuple[Draw, int, int, int, int]
+
+
 def _sample_block(
-    draw: Draw, k_max: int, sizes: tuple[int, ...], seed: int, stream: int, block: int
+    jobs: tuple[Job, ...], cells: tuple[tuple[int, int, int], ...], seed: int, cell: int
 ) -> list[tuple[int, np.ndarray, np.ndarray]]:
-    """Draw one block; per group return (kept count, power sums, square sums)."""
-    groups = draw(block_rng(seed, stream, block), sizes[block])
+    """Draw one (job, block, size) cell; per group return (kept count,
+    power sums, square sums)."""
+    j, b, size = cells[cell]
+    draw, k_max, _, _, stream = jobs[j]
+    groups = draw(block_rng(seed, stream, b), size)
     return [(len(kept), *power_sums(kept, k_max)) for kept in groups]
 
 
 def sample_moments(
-    draw: Draw, k_max: int, total: int, block: int, seed: int, stream: int, workers: int = 1
-) -> list[tuple[int, list[MomentEstimate]]]:
-    """Per group: (kept count, moment estimates over the kept observations).
+    jobs: Sequence[Job], seed: int, workers: int = 1
+) -> list[list[tuple[int, list[MomentEstimate]]]]:
+    """Per job, per group: (kept count, moment estimates over the kept observations).
 
-    ``total`` draws are split into ``block``-sized blocks on ``stream``;
-    ``draw`` must be picklable when workers > 1.  A group that kept nothing
-    has no estimates.
+    Every job is checked before any block is drawn; ``draw`` must be
+    picklable when workers > 1.  A group that kept nothing has no estimates.
     """
-    check_order(k_max)
+    jobs = tuple(jobs)
+    for _, k_max, _, _, _ in jobs:
+        check_order(k_max)
     check_seed(seed)
-    sizes = tuple(block_sizes(total, block))
-    blocks = map_blocks(partial(_sample_block, draw, k_max, sizes, seed, stream), len(sizes), workers)
+    sizes = [block_sizes(total, block) for _, _, total, block, _ in jobs]
+    # Round robin: block b of every job that has one, for b = 0, 1, ...
+    cells = tuple((j, b, job_sizes[b])
+                  for b in range(max(map(len, sizes), default=0))
+                  for j, job_sizes in enumerate(sizes) if b < len(job_sizes))
+    blocks = map_blocks(partial(_sample_block, jobs, cells, seed), len(cells), workers)
+    per_job: list[list] = [[] for _ in jobs]
+    for (j, _, _), result in zip(cells, blocks):
+        per_job[j].append(result)
+    return [_reduce(k_max, job_blocks) for (_, k_max, *_), job_blocks in zip(jobs, per_job)]
+
+
+def _reduce(k_max: int, blocks: list) -> list[tuple[int, list[MomentEstimate]]]:
+    """Add each group's block sums in block order and turn them into estimates."""
     results = []
     for group in zip(*blocks):
         count = 0

@@ -10,9 +10,10 @@ Two estimators are provided for the steady-state age moments of a subset:
 ``estimate_moments_replication`` (one observation per independent replica at
 a fixed horizon) and ``estimate_moments_timeavg`` (exact per-segment time
 integrals along a single long trajectory, batch-means standard errors).
-A replica block is one draw of ``montecarlo.sample_moments``: it returns
-each subset's ages at the horizon, and the pipeline reduces them in block
-order; replicas the draw left out are the subset's ``pending`` count.
+``replication_job`` makes the job that ``montecarlo.sample_moments`` runs;
+a replica block is one draw: it returns each subset's ages at the horizon,
+and the pipeline reduces them in block order; replicas the draw left out
+are the subset's ``pending`` count.
 
 The RNG stream fixes the report bytes.  Each event draws one
 ``rng.exponential(1 / Lambda)`` gap and then one ``rng.random()`` uniform u,
@@ -49,7 +50,7 @@ import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -178,6 +179,13 @@ class ReplicationResult:
     replicas: int
     pending: int
 
+    @classmethod
+    def from_group(cls, replicas: int, group: tuple[int, list[MomentEstimate]]) -> ReplicationResult:
+        """The result of one subset's (kept count, estimates) group of a
+        ``replicas``-replica job."""
+        kept, estimates = group
+        return cls(estimates=tuple(estimates), replicas=replicas, pending=replicas - kept)
+
 
 def _edge_picker(cum: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """Vectorised ``_pick``: map keys x = u * Lambda to edge indices.
@@ -258,6 +266,17 @@ def check_replication(replicas: int, horizon: float | None) -> None:
         raise ValueError(f"horizon must be finite, got {horizon}")
 
 
+def replication_job(
+    net: GossipNetwork, subsets: Sequence[NodeSubset], k_max: int, replicas: int, horizon: float
+) -> montecarlo.Job:
+    """The pipeline job that simulates ``replicas`` replicas to ``horizon``,
+    one group per subset (checked and distinct) holding its ages there."""
+    check_replication(replicas, horizon)
+    _event_rate(net)
+    draw = partial(_replication_draw, net, tuple(s.ids() for s in subsets), horizon)
+    return draw, k_max, replicas, montecarlo.REPLICATION_BLOCK, montecarlo.STREAM_REPLICATION
+
+
 def replication_results(
     net: GossipNetwork,
     subsets: Iterable[NodeSubset | Iterable[int]],
@@ -269,16 +288,9 @@ def replication_results(
 ) -> dict[NodeSubset, ReplicationResult]:
     """Replication estimates for several subsets sharing one set of replicas."""
     checked = list(dict.fromkeys(map(net.check_subset, subsets)))
-    check_replication(replicas, horizon)
-    _event_rate(net)
-    draw = partial(_replication_draw, net, tuple(s.ids() for s in checked), horizon)
-    groups = montecarlo.sample_moments(
-        draw, k_max, replicas, montecarlo.REPLICATION_BLOCK, seed, montecarlo.STREAM_REPLICATION, workers
-    )
-    return {
-        s: ReplicationResult(estimates=tuple(estimates), replicas=replicas, pending=replicas - count)
-        for s, (count, estimates) in zip(checked, groups)
-    }
+    job = replication_job(net, checked, k_max, replicas, horizon)
+    [groups] = montecarlo.sample_moments([job], seed, workers)
+    return {s: ReplicationResult.from_group(replicas, group) for s, group in zip(checked, groups)}
 
 
 def check_pending(result: ReplicationResult, subset: NodeSubset, horizon: float) -> None:

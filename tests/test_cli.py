@@ -10,7 +10,7 @@ import math
 
 import pytest
 
-from gossip_aoi import cli, fpp, lattice, moments, simulate
+from gossip_aoi import cli, lattice, moments, montecarlo, simulate
 from gossip_aoi.moments import MomentTable
 from gossip_aoi.reporting import json_ready, render_csv, render_json
 
@@ -269,7 +269,11 @@ def test_compare_line_network_passes(capsys, line_path):
     (["--horizon", "inf"], "horizon must be finite, got inf"),
     (["--samples", "1"], "need at least 2 samples, got 1"),
     (["--k", "0"], "moment order must be a positive integer, got 0"),
-], ids=["replicas", "horizon", "horizon-inf", "samples", "order"])
+    (["--se-threshold", "-1"], "se threshold must be positive, got -1.0"),
+    (["--se-threshold", "0"], "se threshold must be positive, got 0.0"),
+    (["--se-threshold", "nan"], "se threshold must be positive, got nan"),
+], ids=["replicas", "horizon", "horizon-inf", "samples", "order",
+        "threshold-negative", "threshold-zero", "threshold-nan"])
 def test_compare_rejects_replicas_and_horizon_before_any_work(capsys, line_path, monkeypatch,
                                                               option, message):
     def refuse(*args, **kwargs):
@@ -277,20 +281,37 @@ def test_compare_rejects_replicas_and_horizon_before_any_work(capsys, line_path,
 
     monkeypatch.setattr(simulate, "pilot_t0", refuse)
     monkeypatch.setattr(moments, "solve_moments", refuse)
-    monkeypatch.setattr(fpp, "estimate_moments", refuse)
+    monkeypatch.setattr(montecarlo, "sample_moments", refuse)
     code = cli.main(["compare", "--network", line_path, "--subset", "2", *option])
     assert code == 2
     assert capsys.readouterr().err == f"gossip-aoi: error: {message}\n"
 
 
+def test_compare_reports_an_unreachable_subset_before_any_block(capsys, tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("compare drew a block for an unreachable subset")
+
+    path = tmp_path / "lonely.json"
+    path.write_text(LONELY_DOC)
+    monkeypatch.setattr(montecarlo, "map_blocks", refuse)
+    code = cli.main(["compare", "--network", str(path), "--subset", "2", "--horizon", "5",
+                     "--samples", "1000"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "gossip-aoi: error: subset {2}: 1000 of 1000 samples have infinite passage time; "
+        "no member is reachable from the source\n")
+
+
 @pytest.mark.parametrize("option, message", [
     (["--replicas", "1"], "need at least 2 replicas, got 1"),
     (["--k", "0"], "moment order must be a positive integer, got 0"),
+    (["--burn-in", "5"], "--burn-in requires --mode timeavg"),
     (["--mode", "timeavg", "--horizon", "inf"], "horizon must be finite, got inf"),
     (["--mode", "timeavg", "--horizon", "-1"], "horizon must be positive, got -1.0"),
     (["--mode", "timeavg", "--horizon", "200", "--k", "0"],
      "moment order must be a positive integer, got 0"),
-], ids=["replicas", "order", "timeavg-horizon-inf", "timeavg-horizon-negative", "timeavg-order"])
+], ids=["replicas", "order", "replication-burn-in", "timeavg-horizon-inf",
+        "timeavg-horizon-negative", "timeavg-order"])
 def test_simulate_rejects_its_arguments_before_the_pilot(capsys, line_path, monkeypatch,
                                                          option, message):
     def refuse(*args, **kwargs):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -95,8 +96,8 @@ def _halves(rng: np.random.Generator, size: int) -> list[np.ndarray]:
 
 
 def test_sample_moments_reduces_kept_draws_in_block_order():
-    one = sample_moments(_halves, 2, 10, 4, seed=5, stream=9, workers=1)
-    assert sample_moments(_halves, 2, 10, 4, seed=5, stream=9, workers=2) == one
+    [one] = sample_moments([(_halves, 2, 10, 4, 9)], seed=5, workers=1)
+    assert sample_moments([(_halves, 2, 10, 4, 9)], seed=5, workers=2) == [one]
     x = np.concatenate([block_rng(5, 9, b).random(n) for b, n in enumerate([4, 4, 2])])
     for (count, estimates), kept in zip(one, [x, x[x < 0.5]]):
         assert count == len(kept) == estimates[0].sample_count
@@ -107,8 +108,37 @@ def test_sample_moments_reduces_kept_draws_in_block_order():
 
 def test_sample_moments_checks_order_seed_and_total():
     with pytest.raises(ValueError, match="moment order"):
-        sample_moments(_halves, 0, 10, 4, seed=5, stream=9)
+        sample_moments([(_halves, 0, 10, 4, 9)], seed=5)
     with pytest.raises(ValueError, match="seed"):
-        sample_moments(_halves, 1, 10, 4, seed=-1, stream=9)
+        sample_moments([(_halves, 1, 10, 4, 9)], seed=-1)
     with pytest.raises(ValueError, match="sample count"):
-        sample_moments(_halves, 1, 0, 4, seed=5, stream=9)
+        sample_moments([(_halves, 1, 0, 4, 9)], seed=5)
+
+
+def _tail(rng: np.random.Generator, size: int) -> list[np.ndarray]:
+    """One group: the exponentials of the block."""
+    return [rng.exponential(2.0, size)]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_jobs_run_together_match_each_job_run_alone(workers):
+    jobs = [(_halves, 3, 10, 4, 9), (_tail, 2, 7, 2, 11)]
+    together = sample_moments(jobs, seed=5, workers=workers)
+    alone = [sample_moments([job], seed=5, workers=1)[0] for job in jobs]
+    assert repr(together) == repr(alone)   # repr round-trips every float bit
+
+
+def _recording(log: list, rng: np.random.Generator, size: int) -> list[np.ndarray]:
+    """Log the block's first uniform, which names its (stream, block) cell."""
+    log.append(rng.random())
+    return [rng.random(size)]
+
+
+def test_blocks_of_several_jobs_run_round_robin():
+    log: list = []
+    draw = partial(_recording, log)
+    # Job 0 has three blocks on stream 9, job 1 one on stream 11, job 2 two on stream 12.
+    sample_moments([(draw, 1, 10, 4, 9), (draw, 1, 3, 4, 11), (draw, 1, 5, 3, 12)],
+                   seed=5, workers=1)
+    cells = [(9, 0), (11, 0), (12, 0), (9, 1), (12, 1), (9, 2)]
+    assert log == [block_rng(5, stream, b).random() for stream, b in cells]
