@@ -11,10 +11,11 @@ route is still reduced on its own, so the bytes do not depend on it.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, astuple
 from functools import partial
 from pathlib import Path
 from typing import Any, Sequence
@@ -76,7 +77,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", parents=[common, networked], help="event-driven simulation moments")
     p.add_argument("--subset", type=_parse_subset, required=True)
     p.add_argument("--mode", choices=("replication", "timeavg"), default="replication")
-    p.add_argument("--replicas", type=int, default=10_000, help="replication mode: replica count")
+    p.add_argument("--replicas", type=int, default=None,
+                   help="replication mode: replica count (default 10000)")
     p.add_argument("--horizon", type=float, default=None,
                    help="end time; default for replication is 3x the worst pilot t0, "
                    "required for timeavg")
@@ -116,18 +118,16 @@ def _document(config: dict[str, Any], results: dict[str, Any]) -> dict[str, Any]
 
 
 def _csv_preamble(config: dict[str, Any]) -> str:
-    import json
-
     echo = json.dumps(reporting.json_ready(config), sort_keys=True, separators=(",", ":"))
     return f"# {TOOL_NAME} {__version__} schema={SCHEMA_VERSION} config={echo}\n"
 
 
 def _emit(config: dict[str, Any], results: dict[str, Any], header: Sequence[str],
-          rows: Sequence[Sequence[Any]], fmt: str, out: str | None) -> None:
+          columns: Sequence[Sequence[Any]], fmt: str, out: str | None) -> None:
     if fmt == "json":
         text = reporting.render_json(_document(config, results))
     else:
-        text = reporting.render_csv(header, rows, preamble=_csv_preamble(config))
+        text = reporting.render_csv(header, columns, preamble=_csv_preamble(config))
     reporting.write_text(text, out)
 
 
@@ -153,19 +153,19 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             "subset": list(net.check_subset(args.subset).ids()),
             "moments": [{"k": k, "value": vector[k]} for k in range(1, args.k + 1)],
         }
-        rows: list[list[Any]] = [[k, vector[k]] for k in range(1, args.k + 1)]
+        columns: list[Any] = [list(range(1, args.k + 1)), list(vector[1:])]
         header = ["k", "value"]
     else:
         table = solver.solve_all()
         header = table.csv_header()
         # Build only the payload the chosen format emits; each walks 2^N - 1 rows.
         if args.format == "csv":
-            results, rows = {}, table.csv_rows()
+            results, columns = {}, table.csv_rows()
         else:
-            results, rows = {"entries": len(table.entries), "table": table.json_map()}, []
+            results, columns = {"entries": len(table.entries), "table": table.json_map()}, []
     if solver.zero_rate_subsets:
         results["zero_rate_subsets"] = [",".join(map(str, s.ids())) for s in solver.zero_rate_subsets]
-    _emit(config, results, header, rows, args.format, args.out)
+    _emit(config, results, header, columns, args.format, args.out)
     return 0
 
 
@@ -180,7 +180,7 @@ def _cmd_fpp(args: argparse.Namespace) -> int:
         "estimates": reporting.estimate_payload(estimates),
     }
     _emit(config, results, ["k", "mean", "std_error", "samples"],
-          reporting.estimate_rows(estimates), args.format, args.out)
+          reporting.estimate_columns(estimates), args.format, args.out)
     return 0
 
 
@@ -195,19 +195,22 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         if args.burn_in is not None:
             raise NetworkConfigError("--burn-in requires --mode timeavg")
         check_order(args.k)
-        simulate.check_replication(args.replicas, args.horizon)
+        replicas = 10_000 if args.replicas is None else args.replicas
+        simulate.check_replication(replicas, args.horizon)
         horizon = args.horizon
         if horizon is None:
             horizon = simulate.default_horizon(net, subset, seed=seed)
         config = {"command": "simulate", "network": args.network, "subset": args.subset,
-                  "k": args.k, "replicas": args.replicas, "horizon": horizon,
+                  "k": args.k, "replicas": replicas, "horizon": horizon,
                   "mode": args.mode, "seed": seed}
-        result = simulate.replication_results(net, [subset], args.k, args.replicas,
+        result = simulate.replication_results(net, [subset], args.k, replicas,
                                               horizon, seed=seed, workers=args.workers)[subset]
         simulate.check_pending(result, subset, horizon)
         estimates = list(result.estimates)
         results.update(replicas=result.replicas, pending=result.pending)
     else:
+        if args.replicas is not None:
+            raise NetworkConfigError("--replicas requires --mode replication")
         if args.horizon is None:
             raise NetworkConfigError("--mode timeavg requires --horizon")
         simulate.check_timeavg(net, args.k, args.horizon, args.burn_in)
@@ -232,7 +235,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         results["batches"] = simulate.TIMEAVG_BATCHES
     results["estimates"] = reporting.estimate_payload(estimates)
     _emit(config, results, ["k", "mean", "std_error", "samples"],
-          reporting.estimate_rows(estimates), args.format, args.out)
+          reporting.estimate_columns(estimates), args.format, args.out)
     return 0
 
 
@@ -254,8 +257,8 @@ def _cmd_lattice(args: argparse.Namespace) -> int:
         "samples": mc.sample_count,
     }
     header = ["d", "ell", "raw", "normalized", "mc_mean", "mc_se", "samples"]
-    rows = [[results[key] for key in header]]
-    _emit(config, results, header, rows, args.format, args.out)
+    columns = [[results[key]] for key in header]
+    _emit(config, results, header, columns, args.format, args.out)
     return 0
 
 
@@ -291,11 +294,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         "pass": all_pass,
     }
     header = ["k", "solver", "fpp_mean", "fpp_se", "fpp_z", "sim_mean", "sim_se", "sim_z", "pass"]
-    csv_rows = [
-        [r.k, r.solver, r.fpp_mean, r.fpp_se, r.fpp_z, r.sim_mean, r.sim_se, r.sim_z, r.passed]
-        for r in rows
-    ]
-    _emit(config, results, header, csv_rows, args.format, args.out)
+    columns = list(zip(*map(astuple, rows)))   # CompareRow's fields are the header's columns
+    _emit(config, results, header, columns, args.format, args.out)
     return 0 if all_pass else 1
 
 

@@ -66,9 +66,11 @@ class MomentTable:
     def csv_header(self) -> list[str]:
         return ["subset"] + [f"v{k}" for k in range(1, self.k_max + 1)]
 
-    def csv_rows(self) -> list[list[str | float]]:
-        """Rows of label and v^1..v^K; the renderers write +inf as ``inf``."""
-        return [[label, *row] for label, row in zip(self._labels(), self.entries.tolist())]
+    def csv_rows(self) -> list[list[str] | list[float]]:
+        """The CSV body as columns, not rows: the labels, then v^1..v^K with
+        one list per order, for :func:`~gossip_aoi.reporting.render_csv`,
+        which writes +inf as ``inf``."""
+        return [self._labels(), *self.entries.T.tolist()]
 
     def json_map(self) -> dict[str, list[float]]:
         return dict(zip(self._labels(), self.entries.tolist()))

@@ -8,12 +8,12 @@ the string "inf" in both formats so documents survive strict JSON parsers.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 import sys
 from dataclasses import dataclass
-from typing import Any, Sequence, TextIO
+from itertools import chain
+from typing import Any, Iterator, Sequence, TextIO
 
 from .montecarlo import MomentEstimate
 
@@ -41,19 +41,49 @@ def render_json(document: dict[str, Any]) -> str:
 
 
 def csv_writer(fh: TextIO) -> Any:
-    """The one CSV dialect: floats as ``repr`` (so ``inf``, ``-inf`` and ``nan``
-    as such), other cells as ``str``, each row ended by a bare newline."""
+    """A ``csv.writer`` in the CSV dialect of the reports, for row-by-row
+    output such as the ``--trace`` stream: floats as ``repr`` (so ``inf``,
+    ``-inf`` and ``nan`` as such), other cells as ``str``, each row ended by
+    a bare newline.  :func:`render_csv` writes the same dialect, and the
+    tests pin it to this writer byte for byte."""
     return csv.writer(fh, lineterminator="\n")
 
 
-def render_csv(header: Sequence[str], rows: Sequence[Sequence[Any]], preamble: str = "") -> str:
-    """CSV text of ``header`` and ``rows`` in the :func:`csv_writer` dialect."""
-    buf = io.StringIO()
-    buf.write(preamble)
-    writer = csv_writer(buf)
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+def _field(cell: Any) -> str:
+    """One cell as :func:`csv_writer` writes it: quoted, with its quotes
+    doubled, when it holds a comma, a quote or a newline."""
+    if type(cell) is str:
+        text = cell
+    elif cell is None:
+        text = ""
+    else:
+        text = repr(cell) if isinstance(cell, float) else str(cell)
+    if '"' in text:
+        return '"' + text.replace('"', '""') + '"'
+    if "," in text or "\n" in text:
+        return '"' + text + '"'
+    return text
+
+
+def _lines(columns: Sequence[Sequence[Any]]) -> Iterator[str]:
+    """The lines of ``columns``, lazily.  The formatter is picked once per
+    column: a column of plain floats is one ``map(repr)``, which never needs
+    quotes, and any other column goes cell by cell through :func:`_field`."""
+    if len({len(column) for column in columns}) > 1:
+        raise ValueError("CSV columns differ in length")
+    texts = [map(repr, column) if {*map(type, column)} <= {float} else map(_field, column)
+             for column in columns]
+    if len(texts) == 1:
+        # A row whose only field is empty is written as "", not as a blank line.
+        return (text or '""' for text in texts[0])
+    return map(",".join, zip(*texts))
+
+
+def render_csv(header: Sequence[str], columns: Sequence[Sequence[Any]], preamble: str = "") -> str:
+    """CSV text of ``header`` over ``columns``, one sequence of cells per
+    header field, in the :func:`csv_writer` dialect."""
+    lines = chain(_lines([[name] for name in header]), _lines(columns))
+    return preamble + "\n".join(lines) + "\n"
 
 
 def write_text(text: str, out: str | None) -> None:
@@ -64,8 +94,9 @@ def write_text(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def estimate_rows(estimates: Sequence[MomentEstimate]) -> list[list[Any]]:
-    return [[e.k, e.mean, e.std_error, e.sample_count] for e in estimates]
+def estimate_columns(estimates: Sequence[MomentEstimate]) -> list[list[Any]]:
+    return [[e.k for e in estimates], [e.mean for e in estimates],
+            [e.std_error for e in estimates], [e.sample_count for e in estimates]]
 
 
 def estimate_payload(estimates: Sequence[MomentEstimate]) -> list[dict[str, Any]]:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import heapq
+import io
 import math
 import warnings
 from dataclasses import dataclass
@@ -14,6 +15,7 @@ from gossip_aoi import Edge, GossipNetwork, LatticeBox, NodeSubset, as_subset, m
 from gossip_aoi.lattice import RECURSION_CAP, Vertex
 from gossip_aoi.moments import DEFAULT_MEMO_LIMIT, _memo_limit_error
 from gossip_aoi.montecarlo import MomentEstimate, check_order
+from gossip_aoi.reporting import csv_writer
 from gossip_aoi.simulate import (
     PILOT_REPLICAS,
     TIMEAVG_BATCHES,
@@ -666,3 +668,15 @@ def reference_replication_draw(
         informed = (cols > 0.0).all(axis=1)
         out.append(horizon - cols.max(axis=1)[informed])
     return out
+
+
+def reference_render_csv(header: Sequence[str], rows: Iterable[Sequence[Any]],
+                         preamble: str = "") -> str:
+    """CSV text of ``header`` and ``rows`` through ``reporting.csv_writer``,
+    row by row: the bitwise reference for the column-wise ``render_csv``."""
+    buf = io.StringIO()
+    buf.write(preamble)
+    writer = csv_writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()

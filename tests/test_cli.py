@@ -8,11 +8,13 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 
-from gossip_aoi import cli, lattice, moments, montecarlo, simulate
+from gossip_aoi import Edge, GossipNetwork, NodeSubset, cli, lattice, moments, montecarlo, simulate
 from gossip_aoi.moments import MomentTable
 from gossip_aoi.reporting import json_ready, render_csv, render_json
+from helpers import random_network, reference_render_csv
 
 LINE_DOC = (
     '{"nodes": 2, "edges": ['
@@ -310,8 +312,10 @@ def test_compare_reports_an_unreachable_subset_before_any_block(capsys, tmp_path
     (["--mode", "timeavg", "--horizon", "-1"], "horizon must be positive, got -1.0"),
     (["--mode", "timeavg", "--horizon", "200", "--k", "0"],
      "moment order must be a positive integer, got 0"),
+    (["--mode", "timeavg", "--horizon", "50", "--replicas", "5"],
+     "--replicas requires --mode replication"),
 ], ids=["replicas", "order", "replication-burn-in", "timeavg-horizon-inf",
-        "timeavg-horizon-negative", "timeavg-order"])
+        "timeavg-horizon-negative", "timeavg-order", "timeavg-replicas"])
 def test_simulate_rejects_its_arguments_before_the_pilot(capsys, line_path, monkeypatch,
                                                          option, message):
     def refuse(*args, **kwargs):
@@ -388,7 +392,7 @@ def test_render_json_handles_infinity_and_sorts_keys():
 
 
 def test_render_csv_quotes_embedded_commas():
-    text = render_csv(["subset", "v1"], [["1,2", 0.5]])
+    text = render_csv(["subset", "v1"], [["1,2"], [0.5]])
     rows = list(csv.reader(io.StringIO(text)))
     assert rows == [["subset", "v1"], ["1,2", "0.5"]]
 
@@ -396,6 +400,55 @@ def test_render_csv_quotes_embedded_commas():
 def test_render_csv_writes_mixed_cells_verbatim():
     row = [1.0, 0.1, 1e-300, 1 / 3, math.inf, -math.inf, math.nan, True, False, 3, "x", "1,2",
            -0.0, 5e20]
-    assert render_csv(["h"], [row]) == (
+    assert render_csv(["h"], [[cell] for cell in row]) == (
         "h\n1.0,0.1,1e-300,0.3333333333333333,inf,-inf,nan,True,False,3,x,\"1,2\",-0.0,5e+20\n"
     )
+
+
+def test_render_csv_is_the_csv_writer_reference():
+    floats = [1.0, 0.1, 1e-300, 5e-324, 1e16, 5e20, -0.0, math.nan, math.inf, -math.inf]
+    texts = ["1,2", 'a"b', "l\nm", "c\rd", "", "x"]
+    cells = floats + [True, False, 0, -7, 1 << 70, None] + texts
+    n = len(cells)
+    columns = [
+        cells,                                           # mixed, cell by cell
+        [floats[i % len(floats)] for i in range(n)],     # plain floats, one map(repr)
+        cells[::-1],
+        [texts[i % len(texts)] for i in range(n)],
+        [i % 3 == 0 for i in range(n)],
+    ]
+    header = ["subset", "a,b", 'q"', "", "l\nm"]
+    rows = list(zip(*columns))
+    assert render_csv(header, columns) == reference_render_csv(header, rows)
+    assert render_csv(header, [[] for _ in header]) == reference_render_csv(header, [])
+    # A row whose only field is empty is written as "", not as a blank line.
+    for cell in cells:
+        assert render_csv(["h"], [[cell]]) == reference_render_csv(["h"], [[cell]])
+    assert render_csv([""], [cells]) == reference_render_csv([""], [[cell] for cell in cells])
+    assert render_csv([""], [[""]]) == '""\n""\n'
+
+
+def test_render_csv_rejects_ragged_columns():
+    with pytest.raises(ValueError, match="CSV columns differ in length"):
+        render_csv(["a", "b"], [[1.0, 2.0], [3.0]])
+
+
+def test_solve_csv_table_is_the_csv_writer_reference(capsys, tmp_path):
+    base = random_network(np.random.default_rng(21), 9, reachable=True)
+    # Node 10 only sends, so no source reaches it: the row of {10} is inf.
+    net = GossipNetwork(node_count=10, edges=base.edges + (Edge(10, 3, 0.8), Edge(10, 7, 2.5)))
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps({"nodes": net.node_count, "edges": [
+        {"from": e.from_node, "to": e.to_node, "rate": e.rate} for e in net.edges]}))
+    code = cli.main(["solve", "--network", str(path), "--k", "3", "--format", "csv"])
+    assert code == 0
+    text = capsys.readouterr().out
+
+    table = moments.MomentSolver(net, 3).solve_all()
+    rows = []
+    for mask in range(2, 1 << 11, 2):   # row mask // 2 - 1 holds the subset mask
+        subset = NodeSubset(mask)
+        rows.append([",".join(map(str, subset.ids())), *table.get(subset)[1:]])
+    assert rows[(1 << 10) // 2 - 1] == ["10", math.inf, math.inf, math.inf]
+    preamble = text.partition("\n")[0] + "\n"
+    assert text == reference_render_csv(["subset", "v1", "v2", "v3"], rows, preamble)
