@@ -11,19 +11,18 @@ route is still reduced on its own, so the bytes do not depend on it.
 from __future__ import annotations
 
 import argparse
-import json
+import math
 import os
 import sys
 import time
-from dataclasses import asdict, astuple
 from functools import partial
 from pathlib import Path
 from typing import Any, Sequence
 
 from . import __version__, fpp, lattice, moments, montecarlo, reporting, simulate
-from .montecarlo import LATTICE_BLOCK, block_sizes, check_order, check_seed, check_workers
-from .network import GossipNetwork, NetworkConfigError, NodeSubset, load_network
-from .reporting import SCHEMA_VERSION, TOOL_NAME
+from .montecarlo import FPP_BLOCK, MomentEstimate, block_sizes, check_order, check_seed, check_workers
+from .network import GossipNetwork, NetworkConfigError, load_network
+from .reporting import TOOL_NAME
 
 WORKERS_ENV = "GOSSIP_AOI_WORKERS"
 
@@ -105,38 +104,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _document(config: dict[str, Any], results: dict[str, Any]) -> dict[str, Any]:
-    return {
-        "schema": SCHEMA_VERSION,
-        "tool": TOOL_NAME,
-        "version": __version__,
-        "command": config["command"],
-        "seed": config["seed"],
-        "config": config,
-        "results": results,
-    }
-
-
-def _csv_preamble(config: dict[str, Any]) -> str:
-    echo = json.dumps(reporting.json_ready(config), sort_keys=True, separators=(",", ":"))
-    return f"# {TOOL_NAME} {__version__} schema={SCHEMA_VERSION} config={echo}\n"
-
-
-def _emit(config: dict[str, Any], results: dict[str, Any], header: Sequence[str],
-          columns: Sequence[Sequence[Any]], fmt: str, out: str | None) -> None:
-    if fmt == "json":
-        text = reporting.render_json(_document(config, results))
-    else:
-        text = reporting.render_csv(header, columns, preamble=_csv_preamble(config))
-    reporting.write_text(text, out)
-
-
 def _load(path: str) -> GossipNetwork:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise NetworkConfigError(f"cannot read network file {path}: {exc}") from exc
     return load_network(text)
+
+
+def _emit_estimates(config: dict[str, Any], results: dict[str, Any],
+                    estimates: Sequence[MomentEstimate], args: argparse.Namespace) -> None:
+    """Emit ``results`` with one ``estimates`` record per moment order."""
+    header = ["k", "mean", "std_error", "samples"]
+    rows = [dict(zip(header, (e.k, e.mean, e.std_error, e.sample_count))) for e in estimates]
+    results["estimates"] = rows
+    reporting.emit(config, results, header, reporting.record_columns(rows, header),
+                   args.format, args.out)
+
+
+def _z_score(reference: float, estimate: MomentEstimate) -> float:
+    if estimate.std_error > 0:
+        return (estimate.mean - reference) / estimate.std_error
+    return 0.0 if estimate.mean == reference else math.inf
 
 
 # ---- command handlers -------------------------------------------------------
@@ -149,12 +138,11 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if args.subset is not None:
         config["subset"] = args.subset
         vector = solver.solve(args.subset)
-        results: dict[str, Any] = {
-            "subset": list(net.check_subset(args.subset).ids()),
-            "moments": [{"k": k, "value": vector[k]} for k in range(1, args.k + 1)],
-        }
-        columns: list[Any] = [list(range(1, args.k + 1)), list(vector[1:])]
         header = ["k", "value"]
+        rows = [{"k": k, "value": vector[k]} for k in range(1, args.k + 1)]
+        results: dict[str, Any] = {"subset": list(net.check_subset(args.subset).ids()),
+                                   "moments": rows}
+        columns = reporting.record_columns(rows, header)
     else:
         table = solver.solve_all()
         header = table.csv_header()
@@ -165,7 +153,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             results, columns = {"entries": len(table.entries), "table": table.json_map()}, []
     if solver.zero_rate_subsets:
         results["zero_rate_subsets"] = [",".join(map(str, s.ids())) for s in solver.zero_rate_subsets]
-    _emit(config, results, header, columns, args.format, args.out)
+    reporting.emit(config, results, header, columns, args.format, args.out)
     return 0
 
 
@@ -175,12 +163,8 @@ def _cmd_fpp(args: argparse.Namespace) -> int:
               "k": args.k, "samples": args.samples, "seed": check_seed(args.seed)}
     estimates = fpp.estimate_moments(net, args.subset, args.k, args.samples,
                                      seed=args.seed, workers=args.workers)
-    results = {
-        "subset": list(net.check_subset(args.subset).ids()),
-        "estimates": reporting.estimate_payload(estimates),
-    }
-    _emit(config, results, ["k", "mean", "std_error", "samples"],
-          reporting.estimate_columns(estimates), args.format, args.out)
+    _emit_estimates(config, {"subset": list(net.check_subset(args.subset).ids())},
+                    estimates, args)
     return 0
 
 
@@ -233,15 +217,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         else:
             estimates = run()
         results["batches"] = simulate.TIMEAVG_BATCHES
-    results["estimates"] = reporting.estimate_payload(estimates)
-    _emit(config, results, ["k", "mean", "std_error", "samples"],
-          reporting.estimate_columns(estimates), args.format, args.out)
+    _emit_estimates(config, results, estimates, args)
     return 0
 
 
 def _cmd_lattice(args: argparse.Namespace) -> int:
     seed = check_seed(args.seed)
-    block_sizes(args.samples, LATTICE_BLOCK)   # reject a bad count before the exact solve
+    block_sizes(args.samples, FPP_BLOCK)   # reject a bad count before the exact solve
     config = {"command": "lattice", "d": args.d, "ell": args.ell,
               "samples": args.samples, "seed": seed}
     raw = lattice.time_constant_estimate(args.d, args.ell)
@@ -256,9 +238,9 @@ def _cmd_lattice(args: argparse.Namespace) -> int:
         "mc_se": mc.std_error,
         "samples": mc.sample_count,
     }
-    header = ["d", "ell", "raw", "normalized", "mc_mean", "mc_se", "samples"]
-    columns = [[results[key]] for key in header]
-    _emit(config, results, header, columns, args.format, args.out)
+    header = list(results)
+    reporting.emit(config, results, header, reporting.record_columns([results], header),
+                   args.format, args.out)
     return 0
 
 
@@ -285,17 +267,21 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     [(_, fpp_estimates)], [sim_group] = montecarlo.sample_moments(jobs, seed, args.workers)
     sim = simulate.ReplicationResult.from_group(args.replicas, sim_group)
     simulate.check_pending(sim, subset, horizon)
-    rows = reporting.build_compare_rows(vector, fpp_estimates, sim.estimates, args.se_threshold)
-    all_pass = all(row.passed for row in rows)
-    results = {
-        "subset": list(subset.ids()),
-        "threshold": args.se_threshold,
-        "rows": [asdict(row) for row in rows],
-        "pass": all_pass,
-    }
-    header = ["k", "solver", "fpp_mean", "fpp_se", "fpp_z", "sim_mean", "sim_se", "sim_z", "pass"]
-    columns = list(zip(*map(astuple, rows)))   # CompareRow's fields are the header's columns
-    _emit(config, results, header, columns, args.format, args.out)
+    rows = []
+    for f, s in zip(fpp_estimates, sim.estimates):
+        exact = vector[f.k]
+        fz, sz = _z_score(exact, f), _z_score(exact, s)
+        rows.append({"k": f.k, "solver": exact,
+                     "fpp_mean": f.mean, "fpp_se": f.std_error, "fpp_z": fz,
+                     "sim_mean": s.mean, "sim_se": s.std_error, "sim_z": sz,
+                     "passed": abs(fz) <= args.se_threshold and abs(sz) <= args.se_threshold})
+    all_pass = all(row["passed"] for row in rows)
+    results = {"subset": list(subset.ids()), "threshold": args.se_threshold,
+               "rows": rows, "pass": all_pass}
+    keys = list(rows[0])
+    header = [*keys[:-1], "pass"]   # the CSV header spells the "passed" key "pass"
+    reporting.emit(config, results, header, reporting.record_columns(rows, keys),
+                   args.format, args.out)
     return 0 if all_pass else 1
 
 

@@ -16,7 +16,7 @@ array and distances a (nodes, samples) array, so every arc update in
 gather.  The uniforms are still drawn in (samples, edges) row-major order,
 because that order fixes which RNG output lands on which (sample, edge)
 cell; ``exp_weights`` transposes them into the node-major buffer as it
-draws.  The lattice sampler uses the same two functions with unit rates.
+draws.  The lattice sampler runs the same draw with unit rates.
 
 ``passage_job`` makes the job that ``montecarlo.sample_moments`` runs; each
 block is one draw: it returns every subset's passage times, and the pipeline
@@ -108,12 +108,18 @@ def relax(
     return dist
 
 
-def _fpp_draw(
-    net: GossipNetwork, subset_ids: tuple[tuple[int, ...], ...], rng: np.random.Generator, size: int
+def passage_draw(
+    in_arcs: Sequence[tuple[np.ndarray, np.ndarray]],
+    rates: np.ndarray,
+    origin: int,
+    groups: tuple[tuple[int, ...], ...],
+    rng: np.random.Generator,
+    size: int,
 ) -> list[np.ndarray]:
-    """Relax one weight block; per subset return its passage times."""
-    dist = relax(net.in_arcs, exp_weights(rng, size, net.rates), 0)
-    return [dist[list(ids)].min(axis=0) for ids in subset_ids]
+    """Relax one weight block from ``origin``; per group of nodes return its
+    passage times, the minimum over its members."""
+    dist = relax(in_arcs, exp_weights(rng, size, rates), origin)
+    return [dist[list(ids)].min(axis=0) for ids in groups]
 
 
 def passage_job(
@@ -133,7 +139,7 @@ def passage_job(
                 f"subset {s}: {samples} of {samples} samples have infinite passage time; "
                 "no member is reachable from the source"
             )
-    draw = partial(_fpp_draw, net, tuple(s.ids() for s in subsets))
+    draw = partial(passage_draw, net.in_arcs, net.rates, 0, tuple(s.ids() for s in subsets))
     return draw, k_max, samples, montecarlo.FPP_BLOCK, montecarlo.STREAM_FPP
 
 

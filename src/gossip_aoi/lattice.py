@@ -21,15 +21,13 @@ edge is a unit-rate source arc, so lambda_0(S) counts the boundary edges of S.
 from ``MomentSolver.solve``, which runs over the clusters grown from S.
 
 The recursion enumerates clusters of interior vertices, so it is capped at
-boxes whose interior is small; the Monte-Carlo check in
-``mc_boundary_passage`` has no such cap.  It shares the first-passage
-sampler's kernel: ``fpp.exp_weights`` with unit rates gives a node-major
-(edges, samples) weight block, and ``fpp.relax`` sweeps it into a
-(vertices, samples) distance array with whole-row operations.  The uniforms
-behind the block are still drawn in (samples, edges) row-major order, since
-that order decides which RNG output becomes which (sample, edge) weight.
-Both directions of an edge share its weight row.  Each block returns its
-passage times as one group to ``montecarlo.sample_moments``, which reduces
+boxes whose interior is small; ``time_constant_estimate`` counts the
+interior before it builds the box.  The Monte-Carlo check in
+``mc_boundary_passage`` has no such cap.  It runs the first-passage
+sampler's draw on the raw box, not on ``LatticeBox.network``, so it stays
+an independent check of that mapping: unit-rate weights, both directions
+of an edge sharing its weight row, relaxed from the origin, and the
+boundary vertices as the one group.  ``montecarlo.sample_moments`` reduces
 every block's power sums in block order, as for the other two samplers.
 """
 
@@ -37,12 +35,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, partial
+from math import comb
 from typing import Iterable, Iterator
 
 import numpy as np
 
 from . import montecarlo
-from .fpp import exp_weights, relax
+from .fpp import passage_draw
 from .moments import MomentSolver
 from .montecarlo import MomentEstimate
 from .network import Edge, GossipNetwork, NodeSubset, group_in_arcs
@@ -153,27 +152,32 @@ def box_recursion(box: LatticeBox, cluster: Iterable[Vertex]) -> float:
         if box.boundary[idx]:
             return 0.0
         mask |= 1 << (pos[idx] + 1)
-    if len(box.interior) > RECURSION_CAP:
+    _check_cap(len(box.interior))
+    return MomentSolver(box.network, 1).solve(NodeSubset(mask))[1]
+
+
+def _check_cap(interior: int) -> None:
+    if interior > RECURSION_CAP:
         raise ValueError(
-            f"interior has {len(box.interior)} vertices, above the recursion cap of "
+            f"interior has {interior} vertices, above the recursion cap of "
             f"{RECURSION_CAP}; use mc_boundary_passage instead"
         )
-    return MomentSolver(box.network, 1).solve(NodeSubset(mask))[1]
+
+
+def _interior_size(d: int, ell: int) -> int:
+    """Points of Z^d with l1 norm at most ell - 1: the interior of the
+    radius-ell box, counted by the number k of non-zero coordinates."""
+    return sum(2**k * comb(d, k) * comb(ell - 1, k) for k in range(min(d, ell - 1) + 1))
 
 
 def time_constant_estimate(d: int, ell: int) -> float:
     """Exact origin-to-boundary expectation for the radius-ell box.  Divided
     by ell it tracks, but is not claimed to be, the infinite-lattice time
-    constant."""
+    constant.  A box whose interior is above the recursion cap is refused
+    before it is built."""
+    if d >= 1 and ell >= 1:   # build_box reports bad arguments
+        _check_cap(_interior_size(d, ell))
     return box_recursion(build_box(d, ell), [(0,) * d])
-
-
-def _lattice_draw(box: LatticeBox, rng: np.random.Generator, size: int) -> list[np.ndarray]:
-    """One sample block: the origin-to-boundary passage times, as one group."""
-    weights = exp_weights(rng, size, np.ones(len(box.edges)))
-    dist = relax(box.in_arcs, weights, box.origin)
-    boundary_cols = [i for i, b in enumerate(box.boundary) if b]
-    return [dist[boundary_cols].min(axis=0)]
 
 
 def mc_boundary_passage(
@@ -181,7 +185,8 @@ def mc_boundary_passage(
 ) -> MomentEstimate:
     """Monte-Carlo mean passage time from the origin to the box boundary."""
     box = build_box(d, ell)
-    job = (partial(_lattice_draw, box), 1, samples, montecarlo.LATTICE_BLOCK,
-           montecarlo.STREAM_LATTICE)
+    boundary = tuple(i for i, b in enumerate(box.boundary) if b)
+    draw = partial(passage_draw, box.in_arcs, np.ones(len(box.edges)), box.origin, (boundary,))
+    job = (draw, 1, samples, montecarlo.FPP_BLOCK, montecarlo.STREAM_LATTICE)
     [[(_, estimates)]] = montecarlo.sample_moments([job], seed, workers)
     return estimates[0]

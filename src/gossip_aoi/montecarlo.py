@@ -40,7 +40,6 @@ STREAM_TIMEAVG = 5
 # streams, so they must never depend on worker count or machine shape.
 FPP_BLOCK = 32768
 REPLICATION_BLOCK = 16384
-LATTICE_BLOCK = 32768
 
 MAX_MOMENT_ORDER = 20
 

@@ -49,6 +49,8 @@ class NodeSubset:
                 raise ValueError("the source node 0 cannot belong to a subset")
             if i < 0:
                 raise ValueError(f"invalid node id {i}")
+            if i > MAX_NODES:
+                raise ValueError(f"node id {i} exceeds the supported maximum of {MAX_NODES}")
             mask |= 1 << i
         return cls(mask)
 

@@ -1,4 +1,9 @@
-"""Report rendering for the CLI: versioned JSON documents and fixed-header CSV.
+"""Report format for the CLI: versioned JSON documents and fixed-header CSV.
+
+A command hands over its config, its results and the CSV view of them;
+this module alone knows the JSON envelope, the CSV preamble and which of
+the two a report is.  A command's CSV rows are the records its JSON
+results already carry, read off by key (:func:`record_columns`).
 
 Rendering is deterministic — same payload, same bytes — so repeated runs with
 one seed can be compared byte for byte.  Infinite values are serialized as
@@ -11,11 +16,10 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass
 from itertools import chain
-from typing import Any, Iterator, Sequence, TextIO
+from typing import Any, Iterator, Mapping, Sequence, TextIO
 
-from .montecarlo import MomentEstimate
+from . import __version__
 
 SCHEMA_VERSION = 1
 TOOL_NAME = "gossip-aoi"
@@ -94,62 +98,29 @@ def write_text(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def estimate_columns(estimates: Sequence[MomentEstimate]) -> list[list[Any]]:
-    return [[e.k for e in estimates], [e.mean for e in estimates],
-            [e.std_error for e in estimates], [e.sample_count for e in estimates]]
+def record_columns(rows: Sequence[Mapping[str, Any]], keys: Sequence[str]) -> list[list[Any]]:
+    """The CSV columns of ``rows``, the records a JSON report carries: one
+    column per key, its cells the records' own values."""
+    return [[row[key] for row in rows] for key in keys]
 
 
-def estimate_payload(estimates: Sequence[MomentEstimate]) -> list[dict[str, Any]]:
-    return [
-        {"k": e.k, "mean": e.mean, "std_error": e.std_error, "samples": e.sample_count}
-        for e in estimates
-    ]
-
-
-@dataclass(frozen=True)
-class CompareRow:
-    """One moment order checked against both stochastic oracles."""
-
-    k: int
-    solver: float
-    fpp_mean: float
-    fpp_se: float
-    fpp_z: float
-    sim_mean: float
-    sim_se: float
-    sim_z: float
-    passed: bool
-
-
-def z_score(reference: float, estimate: MomentEstimate) -> float:
-    if estimate.std_error > 0:
-        return (estimate.mean - reference) / estimate.std_error
-    return 0.0 if estimate.mean == reference else math.inf
-
-
-def build_compare_rows(
-    solver_vector: Sequence[float],
-    fpp_estimates: Sequence[MomentEstimate],
-    sim_estimates: Sequence[MomentEstimate],
-    threshold: float,
-) -> list[CompareRow]:
-    rows = []
-    for fpp_est, sim_est in zip(fpp_estimates, sim_estimates):
-        k = fpp_est.k
-        exact = solver_vector[k]
-        fz = z_score(exact, fpp_est)
-        sz = z_score(exact, sim_est)
-        rows.append(
-            CompareRow(
-                k=k,
-                solver=exact,
-                fpp_mean=fpp_est.mean,
-                fpp_se=fpp_est.std_error,
-                fpp_z=fz,
-                sim_mean=sim_est.mean,
-                sim_se=sim_est.std_error,
-                sim_z=sz,
-                passed=abs(fz) <= threshold and abs(sz) <= threshold,
-            )
-        )
-    return rows
+def emit(config: dict[str, Any], results: dict[str, Any], header: Sequence[str],
+         columns: Sequence[Sequence[Any]], fmt: str, out: str | None) -> None:
+    """Write one report to ``out`` (stdout when None): ``results`` in the
+    versioned JSON document, or ``columns`` under ``header`` as CSV after a
+    comment line that echoes ``config``."""
+    if fmt == "json":
+        text = render_json({
+            "schema": SCHEMA_VERSION,
+            "tool": TOOL_NAME,
+            "version": __version__,
+            "command": config["command"],
+            "seed": config["seed"],
+            "config": config,
+            "results": results,
+        })
+    else:
+        echo = json.dumps(json_ready(config), sort_keys=True, separators=(",", ":"))
+        preamble = f"# {TOOL_NAME} {__version__} schema={SCHEMA_VERSION} config={echo}\n"
+        text = render_csv(header, columns, preamble=preamble)
+    write_text(text, out)

@@ -35,8 +35,9 @@ GOLDEN_DOC = (
 # default rules run the pilot, whose scalar loop draws like the time
 # average's.  The fpp and lattice reports span two sample blocks, so they
 # also pin the block-order reduction of the Monte-Carlo pipeline; compare
-# runs all three routes.  The solve tables on LONELY_DOC pin how an
-# infinite moment is written in either format.
+# runs all three routes.  The solve tables and the solve of subset {2} on
+# LONELY_DOC pin how an infinite moment (and a zero-rate subset) is written
+# in either format.
 GOLDEN_SHA256 = {
     "timeavg.json": "8900064eefc9cfba6c1767aee7dac5a13cd04255cf4c3dc521faf780ea3d810c",
     "timeavg.csv": "7ce591fde0f9f64688fc354c5c7915262d4e226c3f94516b8a79f70c919d9cd0",
@@ -47,6 +48,12 @@ GOLDEN_SHA256 = {
     "compare.csv": "2a2023237129fa8e3d23b37f7c92eb4ab5007abf0781149b53a9965c6c49f7d2",
     "table.json": "c847515e2b4b83937fc8a6f2369322d165d66acdf75d46df3c2a5aa445bf479e",
     "table.csv": "5967d98da46ebdb5b1370a9a31578561870f74352d55a06ae4b9ac8f78c4a324",
+    "replication.csv": "a954a3106f4d74b2a0389e62caa6435b2ad8384d6d18669466f41239a8929ccd",
+    "fpp.csv": "bc5b960dddbefca6d904bf6d2341b3502fb9500bce1fc012e6ba034e721f56a2",
+    "lattice.csv": "25ecb8021a46151956c2b4e01fc982c2013e837c5c155defb2504718d49e11cc",
+    "compare.json": "88828af0a1077d62e790bfbe8738a0bf7a5f77adbcdfb88ff4eb7b5410000102",
+    "solve.json": "503dc6c9c617fc08bae083120c35de157429d3082a3aa7225cbf3dcb37102d65",
+    "solve.csv": "c27a3827e6441b04e5241b083072cb5edbc6f5bfb1892095a2c6f009672eb3bc",
 }
 
 
@@ -112,6 +119,13 @@ def test_solve_rejects_source_in_subset(capsys, line_path):
     code = cli.main(["solve", "--network", line_path, "--subset", "0,1"])
     assert code == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_solve_rejects_a_subset_id_above_the_node_cap(capsys, line_path):
+    code = cli.main(["solve", "--network", line_path, "--subset", "100000"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "gossip-aoi: error: node id 100000 exceeds the supported maximum of 62\n")
 
 
 def test_missing_network_file_is_a_config_error(capsys, tmp_path):
@@ -213,15 +227,16 @@ def test_simulate_reports_keep_their_golden_bytes(tmp_path, monkeypatch):
     timeavg = base + ["--mode", "timeavg", "--horizon", "400"]
     assert cli.main(timeavg + ["--trace", "trace.csv", "--out", "timeavg.json"]) == 0
     assert cli.main(timeavg + ["--burn-in", "5", "--format", "csv", "--out", "timeavg.csv"]) == 0
-    assert cli.main(base + ["--replicas", "3000", "--out", "replication.json"]) == 0
-    assert cli.main(["fpp", *net, "--samples", "40000", "--out", "fpp.json"]) == 0
-    assert cli.main(["lattice", "--d", "2", "--ell", "2", "--samples", "40000", "--seed", "12",
-                     "--out", "lattice.json"]) == 0
-    assert cli.main(["compare", *net, "--samples", "40000", "--replicas", "3000",
-                     "--format", "csv", "--out", "compare.csv"]) == 0
+    replication = base + ["--replicas", "3000"]
+    fpp = ["fpp", *net, "--samples", "40000"]
+    lattice_box = ["lattice", "--d", "2", "--ell", "2", "--samples", "40000", "--seed", "12"]
+    compare = ["compare", *net, "--samples", "40000", "--replicas", "3000"]
     table = ["solve", "--network", "lonely.json", "--k", "3", "--seed", "12"]
-    assert cli.main(table + ["--out", "table.json"]) == 0
-    assert cli.main(table + ["--format", "csv", "--out", "table.csv"]) == 0
+    solve = table + ["--subset", "2"]
+    for name, argv in (("replication", replication), ("fpp", fpp), ("lattice", lattice_box),
+                       ("compare", compare), ("table", table), ("solve", solve)):
+        assert cli.main(argv + ["--out", f"{name}.json"]) == 0
+        assert cli.main(argv + ["--format", "csv", "--out", f"{name}.csv"]) == 0
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in GOLDEN_SHA256}
     assert digests == GOLDEN_SHA256
@@ -251,6 +266,18 @@ def test_lattice_rejects_its_arguments_before_the_exact_solve(capsys, monkeypatc
     code = cli.main(["lattice", "--d", "10", "--ell", "2", *option])
     assert code == 2
     assert capsys.readouterr().err == f"gossip-aoi: error: {message}\n"
+
+
+def test_lattice_checks_the_recursion_cap_before_building_the_box(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("lattice built a box above the recursion cap")
+
+    monkeypatch.setattr(lattice, "build_box", refuse)
+    code = cli.main(["lattice", "--d", "3", "--ell", "50"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "gossip-aoi: error: interior has 161799 vertices, above the recursion cap of 22; "
+        "use mc_boundary_passage instead\n")
 
 
 def test_compare_line_network_passes(capsys, line_path):

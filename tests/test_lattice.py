@@ -15,7 +15,7 @@ from gossip_aoi import (
     build_box,
     mc_boundary_passage,
 )
-from gossip_aoi.lattice import RECURSION_CAP, time_constant_estimate
+from gossip_aoi.lattice import RECURSION_CAP, _interior_size, time_constant_estimate
 from helpers import reference_box_recursion
 
 
@@ -51,6 +51,13 @@ def test_interior_vertices_have_full_degree():
             degree[b] += 1
         for i in box.interior:
             assert degree[i] == 2 * d
+
+
+def test_interior_size_counts_the_box_interior():
+    for d in range(1, 6):
+        for ell in range(1, 6):
+            assert _interior_size(d, ell) == len(build_box(d, ell).interior), (d, ell)
+    assert _interior_size(3, 50) == 161_799
 
 
 def test_build_box_validates_arguments():

@@ -114,6 +114,8 @@ def test_subset_rejects_source_and_negative_ids():
         NodeSubset.of([0, 1])
     with pytest.raises(ValueError, match="-3"):
         NodeSubset.of([-3])
+    with pytest.raises(ValueError, match="node id 63 exceeds the supported maximum of 62"):
+        NodeSubset.of([1, 63])
 
 
 def test_check_subset_rejects_ids_outside_network():
