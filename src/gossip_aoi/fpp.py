@@ -18,6 +18,15 @@ because that order fixes which RNG output lands on which (sample, edge)
 cell; ``exp_weights`` transposes them into the node-major buffer as it
 draws.  The lattice sampler runs the same draw with unit rates.
 
+Only the arcs that can move a group's minimum are relaxed.  Since
+fl(a + w) >= a for w >= 0, a best path to a group can be cut at its first
+member; so ``prune_arcs`` drops the arcs out of every node that lies in all
+the groups of a draw, once per job.  ``relax`` then visits the nodes in
+breadth-first order from the origin, without the origin's in-arcs and the
+nodes it cannot reach; when every arc it keeps points forward in that order,
+one sweep is exact and the only one.  The group minimum is a running
+``np.minimum`` over the member rows.
+
 ``passage_job`` makes the job that ``montecarlo.sample_moments`` runs; each
 block is one draw: it returns every subset's passage times, and the pipeline
 turns them into power sums and adds those in block order.  Reachability is a
@@ -68,6 +77,24 @@ def exp_weights(rng: np.random.Generator, samples: int, rates: np.ndarray) -> np
     return weights
 
 
+def prune_arcs(
+    in_arcs: Sequence[tuple[np.ndarray, np.ndarray]], groups: Sequence[Sequence[int]]
+) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """``in_arcs`` without the arcs out of the nodes that lie in every group.
+
+    Every group's minimum stays exact: a path that reaches a member through
+    such a node reaches that node first, at a time no later, since
+    fl(a + w) >= a for w >= 0.  With no groups there is no minimum to keep,
+    and every arc drops.
+    """
+    common = set(range(len(in_arcs)))
+    for ids in groups:
+        common.intersection_update(ids)
+    kept = np.ones(len(in_arcs), dtype=bool)
+    kept[list(common)] = False
+    return tuple((frm[kept[frm]], eidx[kept[frm]]) for frm, eidx in in_arcs)
+
+
 def relax(
     in_arcs: Sequence[tuple[np.ndarray, np.ndarray]], weights: np.ndarray, origin: int
 ) -> np.ndarray:
@@ -75,28 +102,60 @@ def relax(
 
     ``in_arcs[v]`` holds (from-nodes, edge indices) of the arcs into v;
     ``weights`` is (edges, samples) and the result is (nodes, samples), +inf
-    where a node is unreachable.  Gauss-Seidel sweeps in node order until no
-    sample improves; the result is bit-identical to per-sample Dijkstra,
-    since both return the minimum over paths of the same left-to-right
-    floating prefix sums.
+    where a node is unreachable.
+
+    Nodes are visited in breadth-first order from ``origin``.  The origin's
+    own in-arcs are skipped (its distance is 0, and fl(a + w) >= 0), and so
+    are the nodes it cannot reach and the arcs out of them.  The first sweep
+    relaxes only the arcs that point forward in that order, each into a row
+    still at +inf.  When no kept arc points backward (on a tree, say, or
+    when every arc runs from one breadth-first layer to the next), the graph
+    is acyclic, every node's in-neighbours are final before it is visited,
+    and that sweep is exact and the only one.  Otherwise Gauss-Seidel sweeps
+    over every kept arc follow until no sample improves.  The result is
+    bit-identical to per-sample Dijkstra in any case, since both return the
+    minimum over paths of the same left-to-right floating prefix sums.
     """
     samples = weights.shape[1]
     dist = np.full((len(in_arcs), samples), np.inf)
     dist[origin] = 0.0
+    out: list[list[int]] = [[] for _ in in_arcs]
+    for v, (frm, _) in enumerate(in_arcs):
+        for u in frm.tolist():
+            out[u].append(v)
+    rank = {origin: 0}
+    order = [origin]
+    for u in order:   # breadth first: the loop reaches what it appends
+        for v in out[u]:
+            if v not in rank:
+                rank[v] = len(order)
+                order.append(v)
     rows = list(dist)
     wrows = list(weights)
-    arcs = []
-    for v, (frm, eidx) in enumerate(in_arcs):
-        pairs = [(rows[u], wrows[e]) for u, e in zip(frm.tolist(), eidx.tolist())]
-        if pairs:
-            arcs.append((rows[v], pairs[0], pairs[1:]))
-    best = np.empty(samples)
+    forward, arcs, backward = [], [], False
+    for v in order[1:]:
+        frm, eidx = in_arcs[v]
+        ahead, behind = [], []
+        for u, e in zip(frm.tolist(), eidx.tolist()):
+            if u in rank:
+                (ahead if rank[u] < rank[v] else behind).append((rows[u], wrows[e]))
+        forward.append((rows[v], ahead))   # never empty: it holds v's BFS parent
+        arcs.append((rows[v], ahead + behind))
+        backward |= bool(behind)
     cand = np.empty(samples)
+    for row, ((du, w), *rest) in forward:
+        np.add(du, w, out=row)
+        for du, w in rest:
+            np.add(du, w, out=cand)
+            np.minimum(row, cand, out=row)
+    if not backward:
+        return dist
+    best = np.empty(samples)
     improved = np.empty(samples, dtype=bool)
     changed = True
     while changed:
         changed = False
-        for row, (du, w), rest in arcs:
+        for row, ((du, w), *rest) in arcs:
             np.add(du, w, out=best)
             for du, w in rest:
                 np.add(du, w, out=cand)
@@ -117,9 +176,15 @@ def passage_draw(
     size: int,
 ) -> list[np.ndarray]:
     """Relax one weight block from ``origin``; per group of nodes return its
-    passage times, the minimum over its members."""
+    passage times, the minimum over its members, taken row by row."""
     dist = relax(in_arcs, exp_weights(rng, size, rates), origin)
-    return [dist[list(ids)].min(axis=0) for ids in groups]
+    mins = []
+    for first, *rest in groups:
+        low = dist[first].copy()
+        for v in rest:
+            np.minimum(low, dist[v], out=low)
+        mins.append(low)
+    return mins
 
 
 def passage_job(
@@ -139,7 +204,8 @@ def passage_job(
                 f"subset {s}: {samples} of {samples} samples have infinite passage time; "
                 "no member is reachable from the source"
             )
-    draw = partial(passage_draw, net.in_arcs, net.rates, 0, tuple(s.ids() for s in subsets))
+    groups = tuple(s.ids() for s in subsets)
+    draw = partial(passage_draw, prune_arcs(net.in_arcs, groups), net.rates, 0, groups)
     return draw, k_max, samples, montecarlo.FPP_BLOCK, montecarlo.STREAM_FPP
 
 

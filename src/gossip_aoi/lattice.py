@@ -27,21 +27,26 @@ interior before it builds the box.  The Monte-Carlo check in
 sampler's draw on the raw box, not on ``LatticeBox.network``, so it stays
 an independent check of that mapping: unit-rate weights, both directions
 of an edge sharing its weight row, relaxed from the origin, and the
-boundary vertices as the one group.  ``montecarlo.sample_moments`` reduces
-every block's power sums in block order, as for the other two samplers.
+boundary vertices as the one group.  The weight draw covers every box
+edge, but the arcs out of the boundary are pruned before any block is
+relaxed (``fpp.prune_arcs``): a path reaches the boundary before it can use
+one, and fl(a + w) >= a, so they never lower the boundary minimum.  The
+kernel drops the arcs into the origin as well.  On a radius-2 box what is
+left points away from the origin, so one sweep in breadth-first order is
+exact.  ``montecarlo.sample_moments`` reduces every block's power sums in
+block order, as for the other two samplers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, partial
-from math import comb
 from typing import Iterable, Iterator
 
 import numpy as np
 
 from . import montecarlo
-from .fpp import passage_draw
+from .fpp import passage_draw, prune_arcs
 from .moments import MomentSolver
 from .montecarlo import MomentEstimate
 from .network import Edge, GossipNetwork, NodeSubset, group_in_arcs
@@ -166,8 +171,14 @@ def _check_cap(interior: int) -> None:
 
 def _interior_size(d: int, ell: int) -> int:
     """Points of Z^d with l1 norm at most ell - 1: the interior of the
-    radius-ell box, counted by the number k of non-zero coordinates."""
-    return sum(2**k * comb(d, k) * comb(ell - 1, k) for k in range(min(d, ell - 1) + 1))
+    radius-ell box, counted by the number k of non-zero coordinates: the
+    sum of 2^k C(d, k) C(ell - 1, k), each binomial carried to the next k by
+    C(n, k + 1) = C(n, k) (n - k) / (k + 1) in exact integers."""
+    total, term = 0, 1
+    for k in range(min(d, ell - 1) + 1):
+        total += term
+        term = term * 2 * (d - k) * (ell - 1 - k) // (k + 1) ** 2
+    return total
 
 
 def time_constant_estimate(d: int, ell: int) -> float:
@@ -185,8 +196,9 @@ def mc_boundary_passage(
 ) -> MomentEstimate:
     """Monte-Carlo mean passage time from the origin to the box boundary."""
     box = build_box(d, ell)
-    boundary = tuple(i for i, b in enumerate(box.boundary) if b)
-    draw = partial(passage_draw, box.in_arcs, np.ones(len(box.edges)), box.origin, (boundary,))
+    groups = (tuple(i for i, b in enumerate(box.boundary) if b),)
+    in_arcs = prune_arcs(box.in_arcs, groups)
+    draw = partial(passage_draw, in_arcs, np.ones(len(box.edges)), box.origin, groups)
     job = (draw, 1, samples, montecarlo.FPP_BLOCK, montecarlo.STREAM_LATTICE)
     [[(_, estimates)]] = montecarlo.sample_moments([job], seed, workers)
     return estimates[0]

@@ -17,7 +17,8 @@ from gossip_aoi import (
     montecarlo,
     solve_moments,
 )
-from gossip_aoi.fpp import exp_weights, relax
+from gossip_aoi.fpp import exp_weights, passage_draw, prune_arcs, relax
+from gossip_aoi.network import group_in_arcs
 from helpers import (
     WeightSample,
     all_subsets,
@@ -227,3 +228,82 @@ def test_exp_weights_is_the_transposed_row_major_draw():
         expected = _row_major_weights(np.random.default_rng([43, samples]), samples, net.rates)
         assert weights.flags.c_contiguous
         assert np.array_equal(weights, expected.T)
+
+
+def _group_minima(dist, groups):
+    return [dist[:, list(ids)].min(axis=1) for ids in groups]
+
+
+def _assert_pruned_minima_equal_the_full_graphs(in_arcs, rates, origin, groups, rng, samples):
+    weights = _row_major_weights(rng, samples, rates)
+    pruned = relax(prune_arcs(in_arcs, groups), np.ascontiguousarray(weights.T), origin)
+    full = sample_major_distances(in_arcs, weights, origin)
+    for got, expected in zip(_group_minima(pruned.T, groups), _group_minima(full, groups)):
+        assert np.array_equal(got, expected)
+
+
+def test_pruned_group_minima_equal_the_full_graphs_on_random_networks():
+    rng = np.random.default_rng(44)
+    several = with_lost = 0
+    for _ in range(12):
+        n = int(rng.integers(4, 9))
+        net = random_network(rng, n, p=0.3)
+        lost = [v for v in range(1, n + 1) if not net.reachable >> v & 1]
+        shared = int(rng.integers(1, n + 1))   # in every group
+        groups = []
+        for _ in range(int(rng.integers(1, 4))):
+            some = rng.choice(np.arange(1, n + 1), size=int(rng.integers(1, n)), replace=False)
+            groups.append(tuple(sorted({shared, *some.tolist()})))
+        if lost:
+            groups[-1] = tuple(sorted({*groups[-1], lost[0]}))
+        _assert_pruned_minima_equal_the_full_graphs(net.in_arcs, net.rates, 0, groups, rng, 257)
+        several += len(groups) > 1
+        with_lost += bool(lost)
+    assert several > 0 and with_lost > 0
+
+
+def test_pruning_keeps_nodes_outside_some_group():
+    # 1 lies in both groups and 2 in one: only the arcs out of 1 drop.
+    edges = (Edge(0, 1, 1.0), Edge(1, 2, 1.0), Edge(2, 3, 1.0), Edge(0, 3, 1.0))
+    net = GossipNetwork(node_count=3, edges=edges)
+    pruned = prune_arcs(net.in_arcs, [(1, 2), (1, 3)])
+    assert [frm.tolist() for frm, _ in pruned] == [[], [0], [], [0, 2]]
+    assert [frm.tolist() for frm, _ in prune_arcs(net.in_arcs, [])] == [[], [], [], []]
+    rng = np.random.default_rng(45)
+    assert passage_draw(prune_arcs(net.in_arcs, []), net.rates, 0, (), rng, 5) == []
+
+
+def test_pruned_group_minima_equal_the_full_graphs_on_lattice_boxes():
+    rng = np.random.default_rng(46)
+    boxes = [(d, ell) for d in range(1, 5) for ell in range(1, 5)] + [(8, 2)]
+    for d, ell in boxes:
+        box = build_box(d, ell)
+        groups = (tuple(i for i, b in enumerate(box.boundary) if b),)
+        _assert_pruned_minima_equal_the_full_graphs(
+            box.in_arcs, np.ones(len(box.edges)), box.origin, groups, rng, 65
+        )
+
+
+def _arcs(nodes, pairs):
+    return group_in_arcs(nodes, ((u, v, e) for e, (u, v) in enumerate(pairs)))
+
+
+NUMBERED_AGAINST_THE_ARCS = {
+    "backward-line": (_arcs(5, [(4, 3), (3, 2), (2, 1), (1, 0)]), 4),
+    # a DAG whose arc 2 -> 1 points backward in breadth-first order
+    "dag": (_arcs(6, [(5, 1), (5, 2), (2, 1), (1, 0), (2, 0), (0, 3), (1, 3)]), 5),
+    # the cycle 1 -> 0 -> 2 -> 1, entered at 1 and at 2
+    "cycle": (_arcs(4, [(3, 2), (3, 1), (1, 0), (0, 2), (2, 1)]), 3),
+    "origin-with-in-arcs": (_arcs(3, [(2, 0), (0, 2), (1, 2), (2, 1), (0, 1), (1, 0)]), 2),
+    # 4 and 3 are unreachable, and 3 has an arc into a reachable node
+    "unreachable": (_arcs(5, [(4, 3), (3, 1), (2, 1), (1, 0), (0, 2)]), 2),
+}
+
+
+@pytest.mark.parametrize("case", NUMBERED_AGAINST_THE_ARCS)
+def test_relax_is_exact_whatever_the_node_numbering(case):
+    in_arcs, origin = NUMBERED_AGAINST_THE_ARCS[case]
+    rng = np.random.default_rng(47)
+    rates = rng.uniform(0.2, 5.0, size=sum(len(frm) for frm, _ in in_arcs))
+    for samples in (1, 257):
+        _assert_relax_matches_reference(in_arcs, _row_major_weights(rng, samples, rates), origin)

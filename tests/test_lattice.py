@@ -60,6 +60,16 @@ def test_interior_size_counts_the_box_interior():
     assert _interior_size(3, 50) == 161_799
 
 
+def test_interior_size_equals_the_binomial_sum():
+    def binomial_sum(d, ell):
+        return sum(2**k * math.comb(d, k) * math.comb(ell - 1, k) for k in range(min(d, ell - 1) + 1))
+
+    for d in range(1, 41):
+        for ell in range(1, 41):
+            assert _interior_size(d, ell) == binomial_sum(d, ell), (d, ell)
+    assert _interior_size(3000, 3000) == binomial_sum(3000, 3000)
+
+
 def test_build_box_validates_arguments():
     with pytest.raises(ValueError):
         build_box(0, 1)
