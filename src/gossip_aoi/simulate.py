@@ -17,16 +17,21 @@ are the subset's ``pending`` count.
 
 The RNG stream fixes the report bytes.  Each event draws one
 ``rng.exponential(1 / Lambda)`` gap and then one ``rng.random()`` uniform u,
-and picks the edge whose cumulative-rate interval holds u * Lambda (see
-``_pick``).  The pilot and the time-average loop draw that pair as scalars
-from one Generator per trajectory; the replication kernel draws it as
-arrays, one entry per live replica.  A change to the order or the number of
-draws (chunked draws included), to the pick rule or to the order of the
-sums changes the reports.  Both scalar loops hold their state in plain
-lists and floats, bind both draws to locals and call the one delivery rule,
-``_deliver``, directly, so an event costs little more than its two draws.
-A trajectory's own ``informed`` list gives its t_0, the time the last
-subset member first held source-originated information.  A time-average
+and picks the edge whose cumulative-rate interval holds u * Lambda: the
+first threshold above it, as ``np.searchsorted(side="right")`` gives, and
+the last edge when u * Lambda reaches Lambda.  The pilot and the
+time-average estimator run one scalar loop, ``_trajectory``, one call per
+trajectory, which draws that pair from the trajectory's own Generator; the
+replication kernel draws it as arrays, one entry per live replica.  A
+change to the order or the number of draws (chunked draws included), to the
+pick rule or to the order of the sums changes the reports.  The loop holds
+its state in plain lists, floats and one int mask, and writes the pick
+(one ``bisect_right``) and the delivery rule inline, so an event costs
+little more than its two draws.  The mask holds the subset members not yet
+source-informed: a member is informed by the first delivery from the source
+or of a positive timestamp, and the event that informs the last one gives
+the trajectory's t_0.  The pilot stops there; the time average runs to its
+horizon and gets the subset's newest timestamp one segment at a time, and a
 ``trace`` callable gets each applied event as it happens, one CSV row.
 
 The replication kernel picks by the same rule without a per-key binary
@@ -50,6 +55,7 @@ import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import partial
+from itertools import repeat
 from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
@@ -76,32 +82,71 @@ def _event_rate(net: GossipNetwork) -> float:
     return total
 
 
-def _pick(cumulative: tuple[float, ...], x: float) -> int:
-    """Index of the edge whose cumulative-rate interval holds ``x`` = u * Lambda.
+def _trajectory(
+    net: GossipNetwork,
+    s: NodeSubset,
+    rng: np.random.Generator,
+    horizon: float = math.inf,
+    event_cap: int | None = None,
+    until_t0: bool = False,
+    segment: Callable[[float, float, float], Any] | None = None,
+    trace: Callable[[tuple[float, int, int, float]], Any] | None = None,
+) -> float | None:
+    """Run one trajectory from all-zero timestamps; return its t_0, or None
+    when some member of ``s`` was never source-informed.
 
-    ``bisect_right`` compares float64 with float64 exactly as
-    ``np.searchsorted(side="right")`` does, so an ``x`` on a threshold picks
-    the edge above it.  A uniform below 1 keeps ``x`` below Lambda; one that
-    reached Lambda would run the bisection off the end, hence the clamp to
-    the last edge.
+    Each event draws one (gap, uniform) pair and is applied, until a gap
+    reaches ``horizon``, ``event_cap`` events were applied or, with
+    ``until_t0``, the event that informs the last member was.
+    ``segment(a, b, held)`` gets each stretch [a, b) over which the newest
+    timestamp in ``s`` was ``held``, the last one ending at the horizon;
+    ``trace`` gets each applied event.
     """
-    return min(bisect_right(cumulative, x), len(cumulative) - 1)
-
-
-def _deliver(ts: list[float], informed: list[float], u: int, v: int, time: float) -> tuple[float, float]:
-    """Deliver u's information to v at ``time``; return v's (old, new) timestamp.
-
-    The source sends the current time, any other node its held timestamp;
-    v keeps the newer of the two, and the first source-originated delivery
-    sets v's informed time.
-    """
-    sent = time if u == 0 else ts[u]
-    old = ts[v]
-    new = sent if sent > old else old
-    ts[v] = new
-    if (u == 0 or sent > 0.0) and math.isnan(informed[v]):
-        informed[v] = time
-    return old, new
+    total = net.total_rate
+    mean_gap = 1.0 / total
+    cumulative = net.cumulative_rates
+    senders = [e.from_node for e in net.edges]
+    receivers = [e.to_node for e in net.edges]
+    # u * Lambda == Lambda bisects past the last threshold: pick the last edge.
+    senders.append(senders[-1])
+    receivers.append(receivers[-1])
+    exponential, random = rng.exponential, rng.random
+    member = [segment is not None and v in s for v in range(net.node_count + 1)]
+    ts = [0.0] * (net.node_count + 1)
+    remaining = s.mask    # members not yet source-informed
+    t0 = None
+    now = held = seg_start = 0.0
+    for _ in repeat(None) if event_cap is None else range(event_cap):
+        t_next = now + exponential(mean_gap)
+        idx = bisect_right(cumulative, random() * total)
+        if t_next >= horizon:
+            break
+        now = t_next
+        u = senders[idx]
+        v = receivers[idx]
+        # The source sends the current time, any other node its held
+        # timestamp; v keeps the newer of the two.
+        sent = now if u == 0 else ts[u]
+        new = ts[v]
+        if sent > new:
+            new = ts[v] = sent
+            # Only a member whose timestamp rose can raise the subset's newest.
+            if member[v] and new > held:
+                segment(seg_start, now, held)
+                held = new
+                seg_start = now
+        if trace is not None:
+            trace((now, u, v, new))
+        # The first source-originated delivery to a member informs it.
+        if remaining and remaining >> v & 1 and (u == 0 or sent > 0.0):
+            remaining ^= 1 << v
+            if not remaining:
+                t0 = now
+                if until_t0:
+                    break
+    if segment is not None:
+        segment(seg_start, horizon, held)
+    return t0
 
 
 # ---- pilot runs -----------------------------------------------------------
@@ -121,39 +166,22 @@ def pilot_t0(
     """
     s = net.check_subset(subset)
     montecarlo.check_seed(seed)
-    total = _event_rate(net)
+    _event_rate(net)
     cut_off = s.mask & ~net.reachable
     if cut_off:
         raise PendingReplicasError(
             f"pilot: subset {s} is unreachable; nodes {NodeSubset(cut_off)} have no path "
             "from the source"
         )
-    mean_gap = 1.0 / total
-    cumulative = net.cumulative_rates
-    senders = [e.from_node for e in net.edges]
-    receivers = [e.to_node for e in net.edges]
     times = []
     for i in range(replicas):
         rng = montecarlo.block_rng(seed, montecarlo.STREAM_PILOT, i)
-        exponential, random = rng.exponential, rng.random
-        ts = [0.0] * (net.node_count + 1)
-        informed = [math.nan] * (net.node_count + 1)
-        remaining = s.mask
-        now = 0.0
-        for _ in range(event_cap):
-            now += exponential(mean_gap)
-            idx = _pick(cumulative, random() * total)
-            v = receivers[idx]
-            _deliver(ts, informed, senders[idx], v, now)
-            if remaining >> v & 1 and not math.isnan(informed[v]):
-                remaining &= ~(1 << v)
-                if remaining == 0:
-                    break
-        if remaining:
+        t0 = _trajectory(net, s, rng, event_cap=event_cap, until_t0=True)
+        if t0 is None:
             raise PendingReplicasError(
                 f"pilot replica {i}: subset {s} still uninformed after {event_cap} events"
             )
-        times.append(now)
+        times.append(t0)
     return times
 
 
@@ -188,7 +216,7 @@ class ReplicationResult:
 
 
 def _edge_picker(cum: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """Vectorised ``_pick``: map keys x = u * Lambda to edge indices.
+    """The scalar loop's edge pick for arrays: map keys x = u * Lambda to edge indices.
 
     Returns ``min(searchsorted(cum, x, side="right"), last)`` exactly, via a
     guide table over ``4 * edges`` equal buckets of [0, Lambda) and a few
@@ -327,14 +355,9 @@ def estimate_moments_replication(
 # ---- time-average estimator ------------------------------------------------
 
 
-def age_power_integral(start_age: float, duration: float, k: int) -> float:
-    """Integral of (start_age + s)^k for s in [0, duration]."""
-    return ((start_age + duration) ** (k + 1) - start_age ** (k + 1)) / (k + 1)
-
-
 def check_timeavg(net: GossipNetwork, k_max: int, horizon: float, burn_in: float | None,
-                  batches: int = TIMEAVG_BATCHES) -> float:
-    """Check the time-average arguments before any work; return Lambda.
+                  batches: int = TIMEAVG_BATCHES) -> None:
+    """Check the time-average arguments before any work.
 
     A burn-in of None, one still to be resolved by the pilot, checks only
     that the horizon is positive.
@@ -349,7 +372,7 @@ def check_timeavg(net: GossipNetwork, k_max: int, horizon: float, burn_in: float
             raise ValueError(f"horizon must be positive, got {horizon}")
     elif burn_in < 0 or not horizon > burn_in:
         raise ValueError(f"need 0 <= burn_in < horizon, got burn_in={burn_in}, horizon={horizon}")
-    return _event_rate(net)
+    _event_rate(net)
 
 
 def estimate_moments_timeavg(
@@ -370,14 +393,17 @@ def estimate_moments_timeavg(
     with a warning.  A ``trace`` callable gets one ``TRACE_HEADER`` row,
     ``(time, from, to, new_timestamp)``, per applied event, as it happens.
     """
-    total = check_timeavg(net, k_max, horizon, burn_in, batches)
+    check_timeavg(net, k_max, horizon, burn_in, batches)
     montecarlo.check_seed(seed)
     s = net.check_subset(subset)
 
     width = (horizon - burn_in) / batches
     sums = [[0.0] * k_max for _ in range(batches)]   # Python floats: the same adds as float64
+    powers = range(2, k_max + 2)
 
     def accumulate(a: float, b: float, held: float) -> None:
+        # The age runs from start to end over [lo, cut): add the integral
+        # of age^k, (end^(k+1) - start^(k+1)) / (k+1), for each order k.
         lo = max(a, burn_in)
         hi = min(b, horizon)
         while lo < hi:
@@ -386,45 +412,21 @@ def estimate_moments_timeavg(
             if cut <= lo:
                 cut = hi
             row = sums[j]
-            for k in range(1, k_max + 1):
-                row[k - 1] += age_power_integral(lo - held, cut - lo, k)
+            start = lo - held
+            end = start + (cut - lo)
+            for i, p in enumerate(powers):
+                row[i] += (end ** p - start ** p) / p
             lo = cut
 
     rng = montecarlo.block_rng(seed, montecarlo.STREAM_TIMEAVG, 0)
-    exponential, random = rng.exponential, rng.random
-    mean_gap = 1.0 / total
-    cumulative = net.cumulative_rates
-    senders = [e.from_node for e in net.edges]
-    receivers = [e.to_node for e in net.edges]
-    member = [v in s for v in range(net.node_count + 1)]
-    ts = [0.0] * (net.node_count + 1)
-    informed = [math.nan] * (net.node_count + 1)
-    now = 0.0
-    held = 0.0        # max timestamp over the subset, constant between events
-    seg_start = 0.0
-    while True:
-        t_next = now + exponential(mean_gap)
-        idx = _pick(cumulative, random() * total)
-        if t_next >= horizon:
-            accumulate(seg_start, horizon, held)
-            break
-        now = t_next
-        v = receivers[idx]
-        _, new = _deliver(ts, informed, senders[idx], v, now)
-        if trace is not None:
-            trace((now, senders[idx], v, new))
-        if member[v] and new > held:
-            accumulate(seg_start, now, held)
-            held = new
-            seg_start = now
-
-    if any(math.isnan(informed[u]) for u in s):
+    t0 = _trajectory(net, s, rng, horizon, segment=accumulate, trace=trace)
+    if t0 is None:
         warnings.warn(
             f"subset {s} never became source-informed within the horizon {horizon}",
             RuntimeWarning,
             stacklevel=2,
         )
-    elif (t0 := max(informed[u] for u in s)) > burn_in:
+    elif t0 > burn_in:
         warnings.warn(
             f"burn-in {burn_in} ends before t_0 = {t0:.6g}; early-window bias likely",
             RuntimeWarning,

@@ -20,7 +20,6 @@ from gossip_aoi.simulate import (
     PILOT_REPLICAS,
     TIMEAVG_BATCHES,
     PendingReplicasError,
-    age_power_integral,
     estimate_moments_timeavg,
 )
 
@@ -527,6 +526,11 @@ def age_of(state: SimState, subset: NodeSubset | Iterable[int]) -> float:
     if not s:
         raise ValueError("subset must be non-empty")
     return state.now - max(state.timestamps[u] for u in s)
+
+
+def age_power_integral(start_age: float, duration: float, k: int) -> float:
+    """Integral of (start_age + s)^k for s in [0, duration]."""
+    return ((start_age + duration) ** (k + 1) - start_age ** (k + 1)) / (k + 1)
 
 
 def reference_timeavg(

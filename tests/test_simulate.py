@@ -22,16 +22,15 @@ from gossip_aoi import (
     solve_moments,
 )
 from gossip_aoi.simulate import (
-    _deliver,
     _edge_picker,
     _replication_draw,
-    age_power_integral,
     check_pending,
     default_horizon,
 )
 from helpers import (
     SimState,
     age_of,
+    age_power_integral,
     detect_t0,
     line_network,
     new_state,
@@ -46,19 +45,111 @@ from helpers import (
 )
 
 
-def test_source_ring_delivers_the_current_time():
-    ts, informed = [0.0, 0.0], [math.nan, math.nan]
-    assert _deliver(ts, informed, 0, 1, 2.5) == (0.0, 2.5)
-    assert ts[1] == informed[1] == 2.5
-    assert _deliver(ts, informed, 0, 1, 4.0) == (2.5, 4.0)
-    assert informed[1] == 2.5   # the first source-originated delivery sticks
+class ScriptedRng:
+    """Generator stand-in: the scripted (gap, uniform) pairs first, then the
+    draws of a real Generator for ``cell``; ``log`` holds each draw's
+    (name, value) in order."""
+
+    def __init__(self, pairs: list[tuple[float, float]], cell: tuple[int, ...]):
+        self.gaps = [gap for gap, _ in pairs][::-1]
+        self.uniforms = [u for _, u in pairs][::-1]
+        self.rest = np.random.default_rng(list(cell))
+        self.log: list[tuple[str, float]] = []
+
+    def exponential(self, scale: float) -> float:
+        gap = self.gaps.pop() if self.gaps else float(self.rest.exponential(scale))
+        self.log.append(("exponential", gap))
+        return gap
+
+    def random(self) -> float:
+        u = self.uniforms.pop() if self.uniforms else float(self.rest.random())
+        self.log.append(("random", u))
+        return u
 
 
-def test_stale_ring_leaves_the_newer_timestamp():
-    ts, informed = [0.0, 1.0, 3.0], [math.nan, 0.5, 2.0]
-    assert _deliver(ts, informed, 1, 2, 5.0) == (3.0, 3.0)
-    assert ts == [0.0, 1.0, 3.0]
-    assert informed[1:] == [0.5, 2.0]
+def _script(monkeypatch, pairs: list[tuple[float, float]]) -> list[ScriptedRng]:
+    """Make every ``block_rng`` cell a fresh ``ScriptedRng`` of ``pairs``;
+    return the list the stand-ins are appended to as they are made."""
+    made: list[ScriptedRng] = []
+
+    def make(*cell):
+        made.append(ScriptedRng(pairs, cell))
+        return made[-1]
+
+    monkeypatch.setattr(montecarlo, "block_rng", make)
+    return made
+
+
+def test_source_ring_delivers_the_current_time(monkeypatch):
+    # Lambda = 2 with thresholds 1, 2: u = 0 picks the source's edge 0 -> 1.
+    net = line_network(1.0, 1.0)
+    _script(monkeypatch, [(2.5, 0.0), (1.5, 0.0), (100.0, 0.0)])
+    trace: list = []
+    # The first source-originated delivery sticks: t_0 stays 2.5.
+    with pytest.warns(RuntimeWarning, match=r"ends before t_0 = 2\.5;"):
+        estimate_moments_timeavg(net, [1], 1, 10.0, 1.0, batches=2, trace=trace.append)
+    assert trace == [(2.5, 0, 1, 2.5), (4.0, 0, 1, 4.0)]
+    assert pilot_t0(net, [1], replicas=1) == [2.5]
+
+
+def test_stale_ring_leaves_the_newer_timestamp(monkeypatch):
+    # Lambda = 4 with thresholds 1, 2, 4: u = 0, 0.25 and 0.5 pick the edges in order.
+    net = GossipNetwork(node_count=2, edges=(Edge(0, 1, 1.0), Edge(0, 2, 1.0), Edge(1, 2, 2.0)))
+    _script(monkeypatch, [(1.0, 0.0), (2.0, 0.25), (2.0, 0.5), (100.0, 0.0)])
+    trace: list = []
+    with warnings.catch_warnings():
+        # t_0 stays 3.0, the burn-in: the stale ring informs nobody anew.
+        warnings.simplefilter("error")
+        [est] = estimate_moments_timeavg(net, [2], 1, 7.0, 3.0, batches=2, trace=trace.append)
+    # Node 1 sends its 1.0 to node 2, which keeps its newer 3.0 ...
+    assert trace == [(1.0, 0, 1, 1.0), (3.0, 0, 2, 3.0), (5.0, 1, 2, 3.0)]
+    # ... so node 2's age runs from 0 to 4 over [3, 7]: batch means 1 and 3.
+    assert (est.mean, est.std_error) == (2.0, 1.0)
+    assert pilot_t0(net, [2], replicas=1) == [3.0]
+
+
+def test_zero_gaps_inform_at_time_zero(monkeypatch):
+    # Gaps of exactly 0.0: the source sends 0.0 to node 1, which holds 0.0
+    # (sent == old) and is informed all the same; node 1 then forwards its
+    # 0.0 to node 2, which is not source-originated and informs nobody.
+    net = line_network(1.0, 1.0)
+    _script(monkeypatch, [(0.0, 0.0), (0.0, 0.5), (0.0, 0.5)])
+    assert pilot_t0(net, [1], replicas=2) == [0.0, 0.0]
+    for subset in ([1], [2], [1, 2]):
+        args = (net, subset, 0, 1_000_000)
+        assert _pilot_outcome(pilot_t0, *args) == _pilot_outcome(reference_pilot_t0, *args)
+        args = (net, subset, 2, 50.0, 0.0, 0, 30)
+        ours = _timeavg_outcome(estimate_moments_timeavg, *args)
+        assert ours == _timeavg_outcome(reference_timeavg, *args), subset
+        assert ours[1][:3] == [(0.0, 0, 1, 0.0), (0.0, 1, 2, 0.0), (0.0, 1, 2, 0.0)]
+        assert bool(ours[2]) == (subset != [1])   # only node 1 is informed at 0.0
+
+
+def test_each_event_draws_one_gap_then_one_uniform(monkeypatch):
+    net = line_network(1.0, 2.0)
+    made = _script(monkeypatch, [])
+    trace: list = []
+    estimate_moments_timeavg(net, [2], 1, 40.0, 10.0, seed=5, trace=trace.append)
+    # One pair per applied event, and one final pair whose gap reaches the horizon.
+    [rng] = made
+    assert [name for name, _ in rng.log] == ["exponential", "random"] * (len(trace) + 1)
+
+    made.clear()
+    times = pilot_t0(net, [2], replicas=4, seed=5)
+    assert len(made) == 4
+    for t0, rng in zip(times, made):
+        names = [name for name, _ in rng.log]
+        assert names == ["exponential", "random"] * (len(names) // 2)
+        now = 0.0
+        for name, gap in rng.log:
+            if name == "exponential":
+                now += gap
+        assert now == t0   # no draw after the event that informs the subset
+
+    made.clear()
+    with pytest.raises(PendingReplicasError):
+        pilot_t0(net, [2], replicas=1, seed=5, event_cap=1)
+    assert [name for name, _ in made[0].log] == ["exponential", "random"]
 
 
 def test_simulators_require_a_ringing_clock():
