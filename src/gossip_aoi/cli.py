@@ -146,7 +146,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     else:
         table = solver.solve_all()
         header = table.csv_header()
-        # Build only the payload the chosen format emits; each walks 2^N - 1 rows.
+        # Each payload is a lazy walk over the 2^N - 1 rows in blocks, which
+        # emit formats and writes one block at a time; start only the chosen one.
         if args.format == "csv":
             results, columns = {}, table.csv_rows()
         else:

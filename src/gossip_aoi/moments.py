@@ -28,8 +28,9 @@ for bit with the memoized recursion that the tests keep as the reference.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -38,7 +39,7 @@ from .network import GossipNetwork, NodeSubset, as_subset
 
 EXHAUSTIVE_CAP = 20          # solve_all enumerates 2^N - 1 subsets
 DEFAULT_MEMO_LIMIT = 1 << 21
-TABLE_CHUNK = 1 << 12        # solve_all states per layer step, bounding its working arrays
+TABLE_CHUNK = 1 << 12        # solve_all states per layer step and table rows per report block
 
 
 class MemoLimitError(RuntimeError):
@@ -66,22 +67,75 @@ class MomentTable:
     def csv_header(self) -> list[str]:
         return ["subset"] + [f"v{k}" for k in range(1, self.k_max + 1)]
 
-    def csv_rows(self) -> list[list[str] | list[float]]:
-        """The CSV body as columns, not rows: the labels, then v^1..v^K with
-        one list per order, for :func:`~gossip_aoi.reporting.render_csv`,
-        which writes +inf as ``inf``."""
-        return [self._labels(), *self.entries.T.tolist()]
+    def csv_rows(self) -> Iterator[list[list[str] | list[float]]]:
+        """The CSV body in row order, lazily, in blocks of at most
+        ``TABLE_CHUNK`` rows for :func:`~gossip_aoi.reporting.emit`, which
+        writes +inf as ``inf``.  A block is columns, not rows: the labels,
+        then v^1..v^K with one list per order.  Its rows share their high
+        nodes, so its labels are those of the low nodes joined with one
+        label of the high nodes."""
+        nodes = len(self.entries).bit_length()
+        low = min(nodes, TABLE_CHUNK.bit_length() - 1)
+        lows = _labels(range(1, low + 1))
+        for block, high in enumerate(_labels(range(low + 1, nodes + 1))):
+            start = block << low   # the state of the block's first row
+            labels = [f"{rest},{high}" if rest else high for rest in lows] if high else lows[1:]
+            yield self._block(labels, slice(max(start, 1) - 1, start + len(lows) - 1))
+            del labels   # let the block go before the next one is made
 
-    def json_map(self) -> dict[str, list[float]]:
-        return dict(zip(self._labels(), self.entries.tolist()))
+    def json_map(self) -> Iterator[list[list[str] | list[float]]]:
+        """The JSON ``table`` object as :meth:`csv_rows` gives the CSV body,
+        but in key order, the order of ``json.dumps(sort_keys=True)``.
 
-    def _labels(self) -> list[str]:
-        """The label "i,j,..." of every row, in row order.  The rows with
-        highest node v repeat all earlier rows with v added, in order."""
-        labels = [""]
-        for node in range(1, len(self.entries).bit_length() + 1):
-            labels += [f"{rest},{node}" if rest else str(node) for rest in labels]
-        return labels[1:]
+        As "," sorts below every digit, that order is a depth-first walk
+        that visits each subset's larger node ids in string order:
+        "1" < "1,10" < "1,10,11" < ... < "1,2" < ... < "10".  The walk goes
+        node by node over the low nodes only.  A high node's subtree is the
+        node and the subsets of the nodes above it, a run of the sorted
+        labels of the high nodes; those are fewer than ``TABLE_CHUNK``, so
+        2^N labels are never sorted.
+        """
+        nodes = len(self.entries).bit_length()
+        split = max(nodes - (TABLE_CHUNK.bit_length() - 1), 0)   # nodes 1..split are low
+        highs = _labels(range(split + 1, nodes + 1))
+        order = sorted(range(1, len(highs)), key=highs.__getitem__)
+        high_states = np.array(order, dtype=np.int64) << split
+        high_labels = [highs[i] for i in order]
+
+        def walk(state: int, label: str, after: int) -> Iterator[tuple[np.ndarray, list[str]]]:
+            for node in sorted(range(after + 1, nodes + 1), key=str):
+                if node > split:
+                    start = bisect_left(high_labels, str(node))
+                    run = slice(start, start + (1 << nodes - node))
+                    rests = high_labels[run]
+                    yield high_states[run] | state, [f"{label},{rest}" for rest in rests] if label else rests
+                else:
+                    inner, inner_label = state | 1 << node - 1, f"{label},{node}" if label else str(node)
+                    yield np.array([inner]), [inner_label]
+                    yield from walk(inner, inner_label, node)
+
+        states: list[np.ndarray] = []
+        labels: list[str] = []
+        for part, part_labels in walk(0, "", 0):
+            if len(labels) + len(part_labels) > TABLE_CHUNK:
+                yield self._block(labels, np.concatenate(states) - 1)
+                states, labels = [], []
+            states.append(part)
+            labels += part_labels
+        yield self._block(labels, np.concatenate(states) - 1)
+
+    def _block(self, labels: list[str], rows: slice | np.ndarray) -> list[list[str] | list[float]]:
+        return [labels, *self.entries[rows].T.tolist()]
+
+
+def _labels(nodes: range) -> list[str]:
+    """The label "i,j,..." of every subset of ``nodes``, "" for the empty one,
+    in mask order: the subsets with the highest node repeat all earlier ones
+    with that node added, in order."""
+    labels = [""]
+    for node in nodes:
+        labels += [f"{rest},{node}" if rest else str(node) for rest in labels]
+    return labels
 
 
 class MomentSolver:

@@ -5,9 +5,11 @@ this module alone knows the JSON envelope, the CSV preamble and which of
 the two a report is.  A command's CSV rows are the records its JSON
 results already carry, read off by key (:func:`record_columns`).
 
-Rendering is deterministic — same payload, same bytes — so repeated runs with
-one seed can be compared byte for byte.  Infinite values are serialized as
-the string "inf" in both formats so documents survive strict JSON parsers.
+A table too large to hold as text is handed over lazily, in blocks of rows,
+and written block by block as it is formatted.  Rendering is deterministic —
+same payload, same bytes — so repeated runs with one seed can be compared
+byte for byte.  Infinite values are serialized as the string "inf" in both
+formats so documents survive strict JSON parsers.
 """
 
 from __future__ import annotations
@@ -15,14 +17,19 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 import sys
-from itertools import chain
-from typing import Any, Iterator, Mapping, Sequence, TextIO
+from itertools import chain, islice
+from json.encoder import encode_basestring_ascii
+from typing import Any, Iterable, Iterator, Mapping, Sequence, TextIO
 
 from . import __version__
 
 SCHEMA_VERSION = 1
 TOOL_NAME = "gossip-aoi"
+
+_Block = Sequence[Sequence[Any]]   # columns of cells, one sequence per field
+_GROUP = 256   # lines or members per write: few writes, and little text held at once
 
 
 def json_ready(value: Any) -> Any:
@@ -69,33 +76,56 @@ def _field(cell: Any) -> str:
     return text
 
 
-def _lines(columns: Sequence[Sequence[Any]]) -> Iterator[str]:
-    """The lines of ``columns``, lazily.  The formatter is picked once per
-    column: a column of plain floats is one ``map(repr)``, which never needs
-    quotes, and any other column goes cell by cell through :func:`_field`."""
+def _lines(columns: _Block) -> Iterator[str]:
+    """The lines of ``columns``, lazily, with the formatter picked once per
+    column by :func:`_cells`."""
     if len({len(column) for column in columns}) > 1:
         raise ValueError("CSV columns differ in length")
-    texts = [map(repr, column) if {*map(type, column)} <= {float} else map(_field, column)
-             for column in columns]
+    texts = [_cells(column) for column in columns]
     if len(texts) == 1:
         # A row whose only field is empty is written as "", not as a blank line.
         return (text or '""' for text in texts[0])
     return map(",".join, zip(*texts))
 
 
-def render_csv(header: Sequence[str], columns: Sequence[Sequence[Any]], preamble: str = "") -> str:
+def _cells(column: Sequence[Any]) -> Iterable[str]:
+    """A column's cells as :func:`_field` writes them.  A column of plain
+    floats is one ``map(repr)``, which never needs quotes; a column of plain
+    strings with no quote or newline in any cell needs quotes exactly where
+    a cell holds a comma; any other column goes cell by cell."""
+    kinds = {*map(type, column)}
+    if kinds <= {float}:
+        return map(repr, column)
+    if kinds <= {str}:
+        joined = "".join(column)
+        if '"' not in joined and "\n" not in joined:
+            return ('"' + text + '"' if "," in text else text for text in column)
+    return map(_field, column)
+
+
+def render_csv(header: Sequence[str], columns: _Block | Iterator[_Block], preamble: str = "") -> str:
     """CSV text of ``header`` over ``columns``, one sequence of cells per
-    header field, in the :func:`csv_writer` dialect."""
-    lines = chain(_lines([[name] for name in header]), _lines(columns))
+    header field (or an iterator of blocks of them), in the
+    :func:`csv_writer` dialect."""
+    lines = chain(_lines([[name] for name in header]), _body_lines(columns))
     return preamble + "\n".join(lines) + "\n"
 
 
-def write_text(text: str, out: str | None) -> None:
+def _body_lines(columns: _Block | Iterator[_Block]) -> Iterator[str]:
+    """The lines of ``columns``, or of each block of an iterator of them in
+    turn, lazily; a block is let go before the next one is drawn."""
+    blocks = columns if isinstance(columns, Iterator) else [columns]
+    return chain.from_iterable(map(_lines, blocks))
+
+
+def write_text(text: str | Iterable[str], out: str | None) -> None:
+    """Write ``text``, or its pieces as they are made, to ``out`` (stdout when None)."""
+    pieces = [text] if isinstance(text, str) else text
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
         with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
 
 
 def record_columns(rows: Sequence[Mapping[str, Any]], keys: Sequence[str]) -> list[list[Any]]:
@@ -105,11 +135,18 @@ def record_columns(rows: Sequence[Mapping[str, Any]], keys: Sequence[str]) -> li
 
 
 def emit(config: dict[str, Any], results: dict[str, Any], header: Sequence[str],
-         columns: Sequence[Sequence[Any]], fmt: str, out: str | None) -> None:
+         columns: _Block | Iterator[_Block], fmt: str, out: str | None) -> None:
     """Write one report to ``out`` (stdout when None): ``results`` in the
     versioned JSON document, or ``columns`` under ``header`` as CSV after a
-    comment line that echoes ``config``."""
+    comment line that echoes ``config``.
+
+    A table too large to hold as text comes lazily, as an iterator of blocks
+    of columns: as ``columns``, or as a value of ``results``, keys first and
+    in key order, which becomes a JSON object of lists.  The rows are
+    written as they are formatted, ``_GROUP`` lines or members at a time.
+    """
     if fmt == "json":
+        streamed = [key for key, value in results.items() if isinstance(value, Iterator)]
         text = render_json({
             "schema": SCHEMA_VERSION,
             "tool": TOOL_NAME,
@@ -117,10 +154,51 @@ def emit(config: dict[str, Any], results: dict[str, Any], header: Sequence[str],
             "command": config["command"],
             "seed": config["seed"],
             "config": config,
-            "results": results,
+            "results": {**results, **{key: f"\0{i}" for i, key in enumerate(streamed)}},
         })
+        # The marks hold a NUL, which no other string of a report can, so
+        # the text splits at the marks alone.
+        parts = re.split(r'"\\u0000(\d+)"', text) if streamed else [text]
+        pieces = chain.from_iterable(_json_object(results[streamed[int(part)]]) if i % 2 else [part]
+                                     for i, part in enumerate(parts))
     else:
         echo = json.dumps(json_ready(config), sort_keys=True, separators=(",", ":"))
         preamble = f"# {TOOL_NAME} {__version__} schema={SCHEMA_VERSION} config={echo}\n"
-        text = render_csv(header, columns, preamble=preamble)
-    write_text(text, out)
+        pieces = chain([render_csv(header, [], preamble)], _joined(_body_lines(columns), "\n"))
+    write_text(pieces, out)
+
+
+def _json_object(blocks: Iterator[_Block]) -> Iterator[str]:
+    """Row blocks (keys, then one column per list item) as the JSON object of
+    lists that :func:`render_json` writes for a value of ``results``."""
+    members = chain.from_iterable(map(_json_members, blocks))
+    first = next(members, None)
+    if first is None:
+        yield "{}"
+        return
+    yield "{\n" + first[2:]   # the first member follows the brace, not a comma
+    yield from _joined(members, "")
+    yield "\n    }"
+
+
+def _json_members(block: _Block) -> Iterator[str]:
+    """The members of one block, lazily, each after a comma: 6 spaces in,
+    list items 8, floats as ``repr`` and the non-finite ones as strings."""
+    keys, *columns = block
+    items = ",".join(["\n        %s"] * len(columns))
+    member = f",\n      %s: [{items}\n      ]"
+    return map(member.__mod__, zip(map(encode_basestring_ascii, keys), *map(_json_items, columns)))
+
+
+def _json_items(column: Sequence[Any]) -> Iterator[str]:
+    """A column's cells as ``json.dumps`` writes them after :func:`json_ready`:
+    a column of finite floats is one ``map(repr)``, any other goes cell by cell."""
+    if {*map(type, column)} <= {float} and math.isfinite(sum(column)):
+        return map(repr, column)
+    return (json.dumps(json_ready(cell)) for cell in column)
+
+
+def _joined(items: Iterator[str], sep: str) -> Iterator[str]:
+    """``items`` as text, ``_GROUP`` of them a piece, each followed by ``sep``."""
+    while group := list(islice(items, _GROUP)):
+        yield sep.join(group) + sep

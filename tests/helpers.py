@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import heapq
 import io
+import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -13,9 +14,9 @@ import numpy as np
 
 from gossip_aoi import Edge, GossipNetwork, LatticeBox, NodeSubset, as_subset, montecarlo
 from gossip_aoi.lattice import RECURSION_CAP, Vertex
-from gossip_aoi.moments import DEFAULT_MEMO_LIMIT, _memo_limit_error
+from gossip_aoi.moments import DEFAULT_MEMO_LIMIT, MomentTable, _memo_limit_error
 from gossip_aoi.montecarlo import MomentEstimate, check_order
-from gossip_aoi.reporting import csv_writer
+from gossip_aoi.reporting import csv_writer, json_ready
 from gossip_aoi.simulate import (
     PILOT_REPLICAS,
     TIMEAVG_BATCHES,
@@ -684,3 +685,19 @@ def reference_render_csv(header: Sequence[str], rows: Iterable[Sequence[Any]],
     writer.writerow(header)
     writer.writerows(rows)
     return buf.getvalue()
+
+
+def table_map(table: MomentTable) -> dict[str, list[float]]:
+    """The JSON ``table`` object built whole, label -> v^1..v^K for every
+    row in row order: the reference for the key-ordered row blocks of
+    ``MomentTable.json_map``."""
+    masks = range(2, 2 * len(table.entries) + 2, 2)   # row mask // 2 - 1 holds the subset mask
+    labels = [",".join(map(str, NodeSubset(mask).ids())) for mask in masks]
+    return dict(zip(labels, table.entries.tolist()))
+
+
+def reference_render_json(document: dict[str, Any]) -> str:
+    """``document`` whole through ``json_ready`` and
+    ``json.dumps(indent=2, sort_keys=True)``: the bitwise reference for the
+    JSON reports, whose table object is written block by block."""
+    return json.dumps(json_ready(document), indent=2, sort_keys=True) + "\n"

@@ -7,14 +7,16 @@ import hashlib
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from gossip_aoi import Edge, GossipNetwork, NodeSubset, cli, lattice, moments, montecarlo, simulate
+from gossip_aoi import (Edge, GossipNetwork, NodeSubset, __version__, cli, lattice, moments,
+                        montecarlo, reporting, simulate)
 from gossip_aoi.moments import MomentTable
 from gossip_aoi.reporting import json_ready, render_csv, render_json
-from helpers import random_network, reference_render_csv
+from helpers import random_network, reference_render_csv, reference_render_json, table_map
 
 LINE_DOC = (
     '{"nodes": 2, "edges": ['
@@ -479,3 +481,87 @@ def test_solve_csv_table_is_the_csv_writer_reference(capsys, tmp_path):
     assert rows[(1 << 10) // 2 - 1] == ["10", math.inf, math.inf, math.inf]
     preamble = text.partition("\n")[0] + "\n"
     assert text == reference_render_csv(["subset", "v1", "v2", "v3"], rows, preamble)
+
+
+def _write_unreached_network(path):
+    """A random 10-node network whose nodes all hear from the source, plus
+    node 11, which only sends: a table with two-digit ids, inf rows and
+    zero-rate subsets."""
+    base = random_network(np.random.default_rng(23), 10, reachable=True)
+    net = GossipNetwork(node_count=11, edges=base.edges + (Edge(11, 4, 1.3), Edge(11, 10, 0.6)))
+    path.write_text(json.dumps({"nodes": net.node_count, "edges": [
+        {"from": e.from_node, "to": e.to_node, "rate": e.rate} for e in net.edges]}))
+    return net
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_solve_json_table_is_the_whole_document_reference(capsys, tmp_path, k):
+    path = tmp_path / "net.json"
+    net = _write_unreached_network(path)
+    argv = ["solve", "--network", str(path), "--k", str(k)]
+    assert cli.main(argv) == 0
+    text = capsys.readouterr().out
+    assert cli.main(argv + ["--out", str(tmp_path / "table.json")]) == 0
+    assert (tmp_path / "table.json").read_text(encoding="utf-8") == text
+
+    solver = moments.MomentSolver(net, k)
+    table = solver.solve_all()
+    zero_rate = [",".join(map(str, s.ids())) for s in solver.zero_rate_subsets]
+    assert "11" in zero_rate and table.get([11])[1:] == (math.inf,) * k
+    config = {"command": "solve", "network": str(path), "k": k, "seed": 0}
+    assert text == reference_render_json({
+        "schema": 1, "tool": "gossip-aoi", "version": __version__, "command": "solve",
+        "seed": 0, "config": config,
+        "results": {"entries": (1 << 11) - 1, "table": table_map(table),
+                    "zero_rate_subsets": zero_rate}})
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_table_reports_do_not_depend_on_the_block_size(capsys, tmp_path, monkeypatch, fmt):
+    path = tmp_path / "net.json"
+    _write_unreached_network(path)
+    argv = ["solve", "--network", str(path), "--k", "2", "--format", fmt]
+    assert cli.main(argv) == 0
+    whole = capsys.readouterr().out
+    # 7 rows a block: the CSV blocks join 2 low nodes to each label of the
+    # 9 high ones, and the JSON walk goes node by node over the 9 low nodes.
+    monkeypatch.setattr(moments, "TABLE_CHUNK", 7)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == whole
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_table_report_is_written_in_bounded_memory(tmp_path, fmt):
+    net = random_network(np.random.default_rng(16), 16, p=0.3, reachable=True)
+    table = moments.MomentSolver(net, 3).solve_all()
+    results, columns = ({}, table.csv_rows()) if fmt == "csv" else ({"table": table.json_map()}, [])
+    out = tmp_path / f"table.{fmt}"
+    tracemalloc.start()
+    try:
+        reporting.emit({"command": "solve", "seed": 0}, results, table.csv_header(), columns,
+                       fmt, str(out))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Only a block of rows is held at a time; a report built whole in
+    # memory would take more than its own size.
+    assert peak < out.stat().st_size / 4
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("nodes, option, message", [
+    (moments.EXHAUSTIVE_CAP + 1, [], "exhaustive solve is capped at 20 nodes, network has 21"),
+    (3, ["--memo-limit", "6"], "memo table exceeded 6 subsets; raise memo_limit to continue"),
+], ids=["cap", "memo-limit"])
+def test_refused_table_leaves_the_out_path_alone(capsys, tmp_path, fmt, nodes, option, message):
+    path = tmp_path / "star.json"
+    path.write_text(json.dumps({"nodes": nodes, "edges": [
+        {"from": 0, "to": v, "rate": 1.0} for v in range(1, nodes + 1)]}))
+    out = tmp_path / "report"
+    argv = ["solve", "--network", str(path), "--format", fmt, "--out", str(out), *option]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"gossip-aoi: error: {message}\n"
+    assert not out.exists()
+    out.write_bytes(b"kept\n")
+    assert cli.main(argv) == 2
+    assert out.read_bytes() == b"kept\n"

@@ -16,7 +16,7 @@ from gossip_aoi import (
     moments,
     solve_moments,
 )
-from gossip_aoi.reporting import render_csv, render_json
+from gossip_aoi.reporting import emit, render_csv
 from helpers import (
     MemoMomentSolver,
     all_subsets,
@@ -200,13 +200,14 @@ def test_largest_memo_limit_is_accepted():
     assert MomentSolver(net, 1, memo_limit=(1 << 31) - 1).solve([2])[1] == pytest.approx(2.0)
 
 
-def test_table_renders_infinities():
+def test_table_renders_infinities(capsys):
     net = GossipNetwork(node_count=2, edges=(Edge(0, 1, 1.0),))
     table = MomentSolver(net, 2).solve_all()
     # The table hands over floats; the renderers write +inf as "inf".
     assert render_csv(table.csv_header(), table.csv_rows()) == (
         'subset,v1,v2\n1,1.0,2.0\n2,inf,inf\n"1,2",1.0,2.0\n'
     )
-    assert json.loads(render_json(table.json_map())) == {
+    emit({"command": "solve", "seed": 0}, {"table": table.json_map()}, [], [], "json", None)
+    assert json.loads(capsys.readouterr().out)["results"]["table"] == {
         "1": [1.0, 2.0], "2": ["inf", "inf"], "1,2": [1.0, 2.0]
     }
