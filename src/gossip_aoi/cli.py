@@ -118,7 +118,7 @@ def _emit_estimates(config: dict[str, Any], results: dict[str, Any],
     header = ["k", "mean", "std_error", "samples"]
     rows = [dict(zip(header, (e.k, e.mean, e.std_error, e.sample_count))) for e in estimates]
     results["estimates"] = rows
-    reporting.emit(config, results, header, reporting.record_columns(rows, header),
+    reporting.emit(config, results, header, [reporting.record_columns(rows, header)],
                    args.format, args.out)
 
 
@@ -142,19 +142,19 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         rows = [{"k": k, "value": vector[k]} for k in range(1, args.k + 1)]
         results: dict[str, Any] = {"subset": list(net.check_subset(args.subset).ids()),
                                    "moments": rows}
-        columns = reporting.record_columns(rows, header)
+        blocks = [reporting.record_columns(rows, header)]
     else:
         table = solver.solve_all()
         header = table.csv_header()
         # Each payload is a lazy walk over the 2^N - 1 rows in blocks, which
         # emit formats and writes one block at a time; start only the chosen one.
         if args.format == "csv":
-            results, columns = {}, table.csv_rows()
+            results, blocks = {}, table.csv_rows()
         else:
-            results, columns = {"entries": len(table.entries), "table": table.json_map()}, []
+            results, blocks = {"entries": len(table.entries), "table": table.json_map()}, []
     if solver.zero_rate_subsets:
         results["zero_rate_subsets"] = [",".join(map(str, s.ids())) for s in solver.zero_rate_subsets]
-    reporting.emit(config, results, header, columns, args.format, args.out)
+    reporting.emit(config, results, header, blocks, args.format, args.out)
     return 0
 
 
@@ -240,7 +240,7 @@ def _cmd_lattice(args: argparse.Namespace) -> int:
         "samples": mc.sample_count,
     }
     header = list(results)
-    reporting.emit(config, results, header, reporting.record_columns([results], header),
+    reporting.emit(config, results, header, [reporting.record_columns([results], header)],
                    args.format, args.out)
     return 0
 
@@ -281,7 +281,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
                "rows": rows, "pass": all_pass}
     keys = list(rows[0])
     header = [*keys[:-1], "pass"]   # the CSV header spells the "passed" key "pass"
-    reporting.emit(config, results, header, reporting.record_columns(rows, keys),
+    reporting.emit(config, results, header, [reporting.record_columns(rows, keys)],
                    args.format, args.out)
     return 0 if all_pass else 1
 

@@ -77,50 +77,28 @@ def _field(cell: Any) -> str:
 
 
 def _lines(columns: _Block) -> Iterator[str]:
-    """The lines of ``columns``, lazily, with the formatter picked once per
-    column by :func:`_cells`."""
+    """The lines of ``columns``, lazily.  The formatter is picked once per
+    column: a column of plain floats is one ``map(repr)``, which never needs
+    quotes, and any other column goes cell by cell through :func:`_field`."""
     if len({len(column) for column in columns}) > 1:
         raise ValueError("CSV columns differ in length")
-    texts = [_cells(column) for column in columns]
+    texts = [map(repr, column) if {*map(type, column)} <= {float} else map(_field, column)
+             for column in columns]
     if len(texts) == 1:
         # A row whose only field is empty is written as "", not as a blank line.
         return (text or '""' for text in texts[0])
     return map(",".join, zip(*texts))
 
 
-def _cells(column: Sequence[Any]) -> Iterable[str]:
-    """A column's cells as :func:`_field` writes them.  A column of plain
-    floats is one ``map(repr)``, which never needs quotes; a column of plain
-    strings with no quote or newline in any cell needs quotes exactly where
-    a cell holds a comma; any other column goes cell by cell."""
-    kinds = {*map(type, column)}
-    if kinds <= {float}:
-        return map(repr, column)
-    if kinds <= {str}:
-        joined = "".join(column)
-        if '"' not in joined and "\n" not in joined:
-            return ('"' + text + '"' if "," in text else text for text in column)
-    return map(_field, column)
-
-
-def render_csv(header: Sequence[str], columns: _Block | Iterator[_Block], preamble: str = "") -> str:
+def render_csv(header: Sequence[str], columns: _Block, preamble: str = "") -> str:
     """CSV text of ``header`` over ``columns``, one sequence of cells per
-    header field (or an iterator of blocks of them), in the
-    :func:`csv_writer` dialect."""
-    lines = chain(_lines([[name] for name in header]), _body_lines(columns))
+    header field, in the :func:`csv_writer` dialect."""
+    lines = chain(_lines([[name] for name in header]), _lines(columns))
     return preamble + "\n".join(lines) + "\n"
 
 
-def _body_lines(columns: _Block | Iterator[_Block]) -> Iterator[str]:
-    """The lines of ``columns``, or of each block of an iterator of them in
-    turn, lazily; a block is let go before the next one is drawn."""
-    blocks = columns if isinstance(columns, Iterator) else [columns]
-    return chain.from_iterable(map(_lines, blocks))
-
-
-def write_text(text: str | Iterable[str], out: str | None) -> None:
-    """Write ``text``, or its pieces as they are made, to ``out`` (stdout when None)."""
-    pieces = [text] if isinstance(text, str) else text
+def write_text(pieces: Iterable[str], out: str | None) -> None:
+    """Write the text ``pieces``, as they are made, to ``out`` (stdout when None)."""
     if out is None:
         sys.stdout.writelines(pieces)
     else:
@@ -135,15 +113,20 @@ def record_columns(rows: Sequence[Mapping[str, Any]], keys: Sequence[str]) -> li
 
 
 def emit(config: dict[str, Any], results: dict[str, Any], header: Sequence[str],
-         columns: _Block | Iterator[_Block], fmt: str, out: str | None) -> None:
+         blocks: Iterable[_Block], fmt: str, out: str | None) -> None:
     """Write one report to ``out`` (stdout when None): ``results`` in the
-    versioned JSON document, or ``columns`` under ``header`` as CSV after a
-    comment line that echoes ``config``.
+    versioned JSON document, or ``blocks`` of rows, each a sequence of
+    columns, under ``header`` as CSV after a comment line that echoes
+    ``config``.
 
-    A table too large to hold as text comes lazily, as an iterator of blocks
-    of columns: as ``columns``, or as a value of ``results``, keys first and
-    in key order, which becomes a JSON object of lists.  The rows are
-    written as they are formatted, ``_GROUP`` lines or members at a time.
+    A table too large to hold as text comes lazily, as an iterator of blocks:
+    as ``blocks``, or as a value of ``results``, keys first and in key order,
+    which becomes a JSON object of lists.  The JSON envelope, the CSV
+    preamble and header and the first ``_GROUP`` CSV rows are formatted
+    before ``out`` is opened, so a report of no more rows is formatted whole
+    first.  A lazy table's rows are formatted as they are written,
+    ``_GROUP`` lines or members at a time, so a failure partway through them
+    leaves the part written so far in ``out``.
     """
     if fmt == "json":
         streamed = [key for key, value in results.items() if isinstance(value, Iterator)]
@@ -164,7 +147,8 @@ def emit(config: dict[str, Any], results: dict[str, Any], header: Sequence[str],
     else:
         echo = json.dumps(json_ready(config), sort_keys=True, separators=(",", ":"))
         preamble = f"# {TOOL_NAME} {__version__} schema={SCHEMA_VERSION} config={echo}\n"
-        pieces = chain([render_csv(header, [], preamble)], _joined(_body_lines(columns), "\n"))
+        rows = _joined(chain.from_iterable(map(_lines, blocks)), "\n")
+        pieces = chain([render_csv(header, [], preamble), next(rows, "")], rows)
     write_text(pieces, out)
 
 

@@ -565,3 +565,13 @@ def test_refused_table_leaves_the_out_path_alone(capsys, tmp_path, fmt, nodes, o
     out.write_bytes(b"kept\n")
     assert cli.main(argv) == 2
     assert out.read_bytes() == b"kept\n"
+
+
+def test_report_that_fails_to_format_leaves_the_out_path_alone(tmp_path):
+    out = tmp_path / "report"
+    out.write_bytes(b"kept\n")
+    # A report of a few rows is formatted whole before out is opened.
+    with pytest.raises(ValueError, match="CSV columns differ in length"):
+        reporting.emit({"command": "solve", "seed": 0}, {}, ["a", "b"], [[[1.0, 2.0], [3.0]]],
+                       "csv", str(out))
+    assert out.read_bytes() == b"kept\n"

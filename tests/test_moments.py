@@ -16,7 +16,7 @@ from gossip_aoi import (
     moments,
     solve_moments,
 )
-from gossip_aoi.reporting import emit, render_csv
+from gossip_aoi.reporting import emit
 from helpers import (
     MemoMomentSolver,
     all_subsets,
@@ -203,8 +203,9 @@ def test_largest_memo_limit_is_accepted():
 def test_table_renders_infinities(capsys):
     net = GossipNetwork(node_count=2, edges=(Edge(0, 1, 1.0),))
     table = MomentSolver(net, 2).solve_all()
-    # The table hands over floats; the renderers write +inf as "inf".
-    assert render_csv(table.csv_header(), table.csv_rows()) == (
+    # The table hands over floats; the reports write +inf as "inf".
+    emit({"command": "solve", "seed": 0}, {}, table.csv_header(), table.csv_rows(), "csv", None)
+    assert capsys.readouterr().out.partition("\n")[2] == (
         'subset,v1,v2\n1,1.0,2.0\n2,inf,inf\n"1,2",1.0,2.0\n'
     )
     emit({"command": "solve", "seed": 0}, {"table": table.json_map()}, [], [], "json", None)
