@@ -28,12 +28,17 @@ sampler's draw on the raw box, not on ``LatticeBox.network``, so it stays
 an independent check of that mapping: unit-rate weights, both directions
 of an edge sharing its weight row, relaxed from the origin, and the
 boundary vertices as the one group.  The weight draw covers every box
-edge, but the arcs out of the boundary are pruned before any block is
-relaxed (``fpp.prune_arcs``): a path reaches the boundary before it can use
-one, and fl(a + w) >= a, so they never lower the boundary minimum.  The
-kernel drops the arcs into the origin as well.  On a radius-2 box what is
-left points away from the origin, so one sweep in breadth-first order is
-exact.  ``montecarlo.sample_moments`` reduces every block's power sums in
+edge, but the arcs out of the boundary are pruned once per call, before
+any block is relaxed (``fpp.prune_arcs``): a path reaches the boundary
+before it can use one, and fl(a + w) >= a, so they never lower the boundary
+minimum.  The relaxation plan (``fpp.relax_plan``), built once beside the
+pruning, drops the arcs into the origin as well.  On a radius-2 box what is
+left points away from the origin, so the one pass in breadth-first order is
+exact and the worklist after it stays empty.  A deeper box keeps the arcs
+that lead back toward the origin, and the worklist reads them only where a
+tail row dropped.  Each block is drawn and relaxed ``fpp.TILE`` samples at
+a time, so its working set is one tile's weights and distances, not the
+block's.  ``montecarlo.sample_moments`` reduces every block's power sums in
 block order, as for the other two samplers.
 """
 
@@ -46,7 +51,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from . import montecarlo
-from .fpp import passage_draw, prune_arcs
+from .fpp import passage_draw, prune_arcs, relax_plan
 from .moments import MomentSolver
 from .montecarlo import MomentEstimate
 from .network import Edge, GossipNetwork, NodeSubset, group_in_arcs
@@ -197,8 +202,8 @@ def mc_boundary_passage(
     """Monte-Carlo mean passage time from the origin to the box boundary."""
     box = build_box(d, ell)
     groups = (tuple(i for i, b in enumerate(box.boundary) if b),)
-    in_arcs = prune_arcs(box.in_arcs, groups)
-    draw = partial(passage_draw, in_arcs, np.ones(len(box.edges)), box.origin, groups)
+    plan = relax_plan(prune_arcs(box.in_arcs, groups), box.origin)
+    draw = partial(passage_draw, plan, np.ones(len(box.edges)), groups)
     job = (draw, 1, samples, montecarlo.FPP_BLOCK, montecarlo.STREAM_LATTICE)
     [[(_, estimates)]] = montecarlo.sample_moments([job], seed, workers)
     return estimates[0]

@@ -22,7 +22,6 @@ contains.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Sequence, TypeVar
@@ -92,11 +91,14 @@ def map_blocks(fn: Callable[[int], T], n_blocks: int, workers: int = 1) -> list[
     """Evaluate ``fn`` on block indices 0..n_blocks-1, results in index order.
 
     ``fn`` must be picklable (a module-level function or functools.partial of
-    one) when workers > 1.
+    one) when workers > 1.  The pool module is imported only when a pool
+    starts, so a one-worker run does not pay for the import.
     """
     check_workers(workers)
     if workers == 1 or n_blocks <= 1:
         return [fn(b) for b in range(n_blocks)]
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=min(workers, n_blocks)) as pool:
         return list(pool.map(fn, range(n_blocks)))
 

@@ -19,7 +19,7 @@ import json
 import math
 import re
 import sys
-from itertools import chain, islice
+from itertools import chain, islice, tee
 from json.encoder import encode_basestring_ascii
 from typing import Any, Iterable, Iterator, Mapping, Sequence, TextIO
 
@@ -174,11 +174,21 @@ def _json_members(block: _Block) -> Iterator[str]:
     return map(member.__mod__, zip(map(encode_basestring_ascii, keys), *map(_json_items, columns)))
 
 
+# A float's JSON text is its repr, but for the non-finite floats, which
+# json_ready turns into strings: repr -> JSON text for those.
+_NON_FINITE = {repr(x): json.dumps(json_ready(x)) for x in (math.inf, -math.inf, math.nan)}
+
+
 def _json_items(column: Sequence[Any]) -> Iterator[str]:
     """A column's cells as ``json.dumps`` writes them after :func:`json_ready`:
-    a column of finite floats is one ``map(repr)``, any other goes cell by cell."""
-    if {*map(type, column)} <= {float} and math.isfinite(sum(column)):
-        return map(repr, column)
+    a column of floats is one ``map(repr)``, whose texts are looked up in
+    ``_NON_FINITE`` when it holds a non-finite one; any other column goes
+    cell by cell."""
+    if {*map(type, column)} <= {float}:
+        if math.isfinite(sum(column)):
+            return map(repr, column)
+        keys, texts = tee(map(repr, column))
+        return map(_NON_FINITE.get, keys, texts)
     return (json.dumps(json_ready(cell)) for cell in column)
 
 

@@ -12,8 +12,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gossip_aoi import (Edge, GossipNetwork, NodeSubset, __version__, cli, lattice, moments,
-                        montecarlo, reporting, simulate)
+from gossip_aoi import (Edge, GossipNetwork, NodeSubset, __version__, cli, fpp, lattice,
+                        moments, montecarlo, reporting, simulate)
 from gossip_aoi.moments import MomentTable
 from gossip_aoi.reporting import json_ready, render_csv, render_json
 from helpers import random_network, reference_render_csv, reference_render_json, table_map
@@ -220,28 +220,50 @@ def test_rejected_timeavg_call_leaves_the_trace_path_alone(capsys, tmp_path, doc
     assert trace.read_text() == "kept\n"
 
 
-def test_simulate_reports_keep_their_golden_bytes(tmp_path, monkeypatch):
+GOLDEN_NET = ["--network", "golden.json", "--subset", "2,3", "--k", "3", "--seed", "12"]
+# The golden reports made by one call each, by name without the format.
+GOLDEN_RUNS = {
+    "replication": ["simulate", *GOLDEN_NET, "--replicas", "3000"],
+    "fpp": ["fpp", *GOLDEN_NET, "--samples", "40000"],
+    "lattice": ["lattice", "--d", "2", "--ell", "2", "--samples", "40000", "--seed", "12"],
+    "compare": ["compare", *GOLDEN_NET, "--samples", "40000", "--replicas", "3000"],
+    "table": ["solve", "--network", "lonely.json", "--k", "3", "--seed", "12"],
+    "solve": ["solve", "--network", "lonely.json", "--k", "3", "--seed", "12", "--subset", "2"],
+}
+
+
+@pytest.fixture
+def golden_dir(tmp_path, monkeypatch):
     (tmp_path / "golden.json").write_text(GOLDEN_DOC)
     (tmp_path / "lonely.json").write_text(LONELY_DOC)
     monkeypatch.chdir(tmp_path)   # the report echoes the network path
-    net = ["--network", "golden.json", "--subset", "2,3", "--k", "3", "--seed", "12"]
-    base = ["simulate", *net]
-    timeavg = base + ["--mode", "timeavg", "--horizon", "400"]
+    return tmp_path
+
+
+def test_simulate_reports_keep_their_golden_bytes(golden_dir):
+    timeavg = ["simulate", *GOLDEN_NET, "--mode", "timeavg", "--horizon", "400"]
     assert cli.main(timeavg + ["--trace", "trace.csv", "--out", "timeavg.json"]) == 0
     assert cli.main(timeavg + ["--burn-in", "5", "--format", "csv", "--out", "timeavg.csv"]) == 0
-    replication = base + ["--replicas", "3000"]
-    fpp = ["fpp", *net, "--samples", "40000"]
-    lattice_box = ["lattice", "--d", "2", "--ell", "2", "--samples", "40000", "--seed", "12"]
-    compare = ["compare", *net, "--samples", "40000", "--replicas", "3000"]
-    table = ["solve", "--network", "lonely.json", "--k", "3", "--seed", "12"]
-    solve = table + ["--subset", "2"]
-    for name, argv in (("replication", replication), ("fpp", fpp), ("lattice", lattice_box),
-                       ("compare", compare), ("table", table), ("solve", solve)):
+    for name, argv in GOLDEN_RUNS.items():
         assert cli.main(argv + ["--out", f"{name}.json"]) == 0
         assert cli.main(argv + ["--format", "csv", "--out", f"{name}.csv"]) == 0
-    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+    digests = {name: hashlib.sha256((golden_dir / name).read_bytes()).hexdigest()
                for name in GOLDEN_SHA256}
     assert digests == GOLDEN_SHA256
+
+
+@pytest.mark.parametrize("tile", [1, 7, montecarlo.FPP_BLOCK + 1])
+def test_passage_reports_do_not_depend_on_the_tile_size(golden_dir, monkeypatch, tile):
+    # 1 and 7 split every block into many tiles, 7 with a ragged last one;
+    # the third relaxes each block as one tile.
+    monkeypatch.setattr(fpp, "TILE", tile)
+    for workers in ("1", "2"):
+        for name in ("fpp.json", "lattice.csv", "compare.json"):
+            command, fmt = name.split(".")
+            argv = GOLDEN_RUNS[command] + ["--workers", workers, "--format", fmt, "--out", name]
+            assert cli.main(argv) == 0
+            digest = hashlib.sha256((golden_dir / name).read_bytes()).hexdigest()
+            assert digest == GOLDEN_SHA256[name], (name, workers)
 
 
 def test_lattice_reports_exact_and_mc_values(capsys):
@@ -483,37 +505,51 @@ def test_solve_csv_table_is_the_csv_writer_reference(capsys, tmp_path):
     assert text == reference_render_csv(["subset", "v1", "v2", "v3"], rows, preamble)
 
 
-def _write_unreached_network(path):
-    """A random 10-node network whose nodes all hear from the source, plus
-    node 11, which only sends: a table with two-digit ids, inf rows and
-    zero-rate subsets."""
-    base = random_network(np.random.default_rng(23), 10, reachable=True)
-    net = GossipNetwork(node_count=11, edges=base.edges + (Edge(11, 4, 1.3), Edge(11, 10, 0.6)))
+def _write_network(path, net):
     path.write_text(json.dumps({"nodes": net.node_count, "edges": [
         {"from": e.from_node, "to": e.to_node, "rate": e.rate} for e in net.edges]}))
     return net
 
 
+def _write_unreached_network(path):
+    """A random 10-node network whose nodes all hear from the source, plus
+    node 11, which only sends: a table with two-digit ids, inf rows and
+    zero-rate subsets."""
+    base = random_network(np.random.default_rng(23), 10, reachable=True)
+    edges = base.edges + (Edge(11, 4, 1.3), Edge(11, 10, 0.6))
+    return _write_network(path, GossipNetwork(node_count=11, edges=edges))
+
+
+def _write_isolated_network(path):
+    """A random 12-node network in which only node 1 hears from the source:
+    every subset without node 1 has infinite moments, so every float column
+    of the JSON table holds inf."""
+    base = random_network(np.random.default_rng(24), 12, p=0.3)
+    edges = (Edge(0, 1, 1.0),) + tuple(e for e in base.edges if e.from_node > 1)
+    return _write_network(path, GossipNetwork(node_count=12, edges=edges))
+
+
 @pytest.mark.parametrize("k", [1, 3])
 def test_solve_json_table_is_the_whole_document_reference(capsys, tmp_path, k):
     path = tmp_path / "net.json"
-    net = _write_unreached_network(path)
-    argv = ["solve", "--network", str(path), "--k", str(k)]
-    assert cli.main(argv) == 0
-    text = capsys.readouterr().out
-    assert cli.main(argv + ["--out", str(tmp_path / "table.json")]) == 0
-    assert (tmp_path / "table.json").read_text(encoding="utf-8") == text
+    for write in (_write_unreached_network, _write_isolated_network):
+        net = write(path)
+        argv = ["solve", "--network", str(path), "--k", str(k)]
+        assert cli.main(argv) == 0
+        text = capsys.readouterr().out
+        assert cli.main(argv + ["--out", str(tmp_path / "table.json")]) == 0
+        assert (tmp_path / "table.json").read_text(encoding="utf-8") == text
 
-    solver = moments.MomentSolver(net, k)
-    table = solver.solve_all()
-    zero_rate = [",".join(map(str, s.ids())) for s in solver.zero_rate_subsets]
-    assert "11" in zero_rate and table.get([11])[1:] == (math.inf,) * k
-    config = {"command": "solve", "network": str(path), "k": k, "seed": 0}
-    assert text == reference_render_json({
-        "schema": 1, "tool": "gossip-aoi", "version": __version__, "command": "solve",
-        "seed": 0, "config": config,
-        "results": {"entries": (1 << 11) - 1, "table": table_map(table),
-                    "zero_rate_subsets": zero_rate}})
+        solver = moments.MomentSolver(net, k)
+        table = solver.solve_all()
+        zero_rate = [",".join(map(str, s.ids())) for s in solver.zero_rate_subsets]
+        assert zero_rate and table.get([net.node_count])[1:] == (math.inf,) * k
+        config = {"command": "solve", "network": str(path), "k": k, "seed": 0}
+        assert text == reference_render_json({
+            "schema": 1, "tool": "gossip-aoi", "version": __version__, "command": "solve",
+            "seed": 0, "config": config,
+            "results": {"entries": (1 << net.node_count) - 1, "table": table_map(table),
+                        "zero_rate_subsets": zero_rate}})
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])

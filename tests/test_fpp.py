@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from gossip_aoi import (
     montecarlo,
     solve_moments,
 )
-from gossip_aoi.fpp import exp_weights, passage_draw, prune_arcs, relax
+from gossip_aoi.fpp import exp_weights, passage_draw, prune_arcs, relax, relax_plan
 from gossip_aoi.network import group_in_arcs
 from helpers import (
     WeightSample,
@@ -169,7 +170,7 @@ def test_batch_distances_equal_scalar_shortest_paths():
         n = int(rng.integers(2, 7))
         net = random_network(rng, n, p=0.4)
         weights = np.array([sample_weights(net, rng).weights for _ in range(50)])
-        dist = relax(net.in_arcs, weights.T.copy(), 0).T
+        dist = relax(relax_plan(net.in_arcs, 0), weights.T.copy()).T
         for i in range(len(weights)):
             sample = WeightSample(weights[i])
             for v in range(1, n + 1):
@@ -193,7 +194,7 @@ def _row_major_weights(rng, samples, rates):
 
 def _assert_relax_matches_reference(in_arcs, weights, origin):
     expected = sample_major_distances(in_arcs, weights, origin)
-    dist = relax(in_arcs, np.ascontiguousarray(weights.T), origin)
+    dist = relax(relax_plan(in_arcs, origin), np.ascontiguousarray(weights.T))
     assert dist.shape == (len(in_arcs), len(weights))
     assert dist.flags.c_contiguous
     assert np.array_equal(dist, expected.T)
@@ -212,13 +213,62 @@ def test_relax_equals_the_sample_major_reference_on_random_networks():
     assert unreachable_rows > 0
 
 
+def test_relax_equals_the_sample_major_reference_on_dense_networks():
+    # Dense networks leave many arcs pointing backward in breadth-first order.
+    rng = np.random.default_rng(48)
+    backward = 0
+    for _ in range(6):
+        net = random_network(rng, int(rng.integers(8, 13)), p=0.8, reachable=True)
+        backward += sum(map(len, relax_plan(net.in_arcs, 0).behind.values()))
+        for samples in (1, 257):
+            weights = _row_major_weights(rng, samples, net.rates)
+            _assert_relax_matches_reference(net.in_arcs, weights, 0)
+    assert backward > 100
+
+
 def test_relax_equals_the_sample_major_reference_on_lattice_boxes():
+    # Every interior vertex but the origin has in-arcs from the next
+    # breadth-first layer, so the worklist runs, and longest on deep boxes.
     rng = np.random.default_rng(40)
-    for d, ell in ((1, 3), (2, 2), (3, 2), (4, 2)):
+    for d, ell in ((1, 3), (2, 2), (3, 2), (4, 2), (2, 8), (3, 4)):
         box = build_box(d, ell)
+        assert len(relax_plan(box.in_arcs, box.origin).behind) == len(box.interior) - 1
         for samples in (1, 257):
             weights = _row_major_weights(rng, samples, np.ones(len(box.edges)))
             _assert_relax_matches_reference(box.in_arcs, weights, box.origin)
+
+
+# Breadth first from 0 the order is 0, 1, 2, 3, 5, 4, and the forward pass
+# sets 1 and 2 to 10 and 5 to 11.  The path 0 -> 3 -> 4 -> 2 lowers 2 to 3
+# in the first sweep of the worklist; only then can 2 -> 1 lower 1 to 4, in
+# the second sweep, after its successor 5 was visited, and 5 falls to 5.
+LATE_ARCS = [(0, 1), (0, 2), (0, 3), (3, 4), (4, 2), (2, 1), (1, 5)]
+LATE_WEIGHTS = [10.0, 10.0, 1.0, 1.0, 1.0, 1.0, 1.0]
+
+
+def test_a_node_that_improves_after_its_successors_moves_them():
+    in_arcs = _arcs(6, LATE_ARCS)
+    plan = relax_plan(in_arcs, 0)
+    assert plan.order == (0, 1, 2, 3, 5, 4)
+    dist = relax(plan, np.array(LATE_WEIGHTS)[:, None])
+    assert dist[:, 0].tolist() == [0.0, 4.0, 3.0, 1.0, 2.0, 5.0]
+    _assert_relax_matches_reference(in_arcs, np.array([LATE_WEIGHTS]), 0)
+
+
+def test_one_block_is_relaxed_in_bounded_memory():
+    box = build_box(8, 2)
+    groups = (tuple(i for i, b in enumerate(box.boundary) if b),)
+    plan = relax_plan(prune_arcs(box.in_arcs, groups), box.origin)
+    rates = np.ones(len(box.edges))
+    tracemalloc.start()
+    try:
+        passage_draw(plan, rates, groups, np.random.default_rng(49), montecarlo.FPP_BLOCK)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # A quarter of the block's (edges, samples) weights, 64 MB: only a tile
+    # of weights and distances is alive at a time.
+    assert peak < len(box.edges) * montecarlo.FPP_BLOCK * 8 / 4
 
 
 def test_exp_weights_is_the_transposed_row_major_draw():
@@ -236,7 +286,8 @@ def _group_minima(dist, groups):
 
 def _assert_pruned_minima_equal_the_full_graphs(in_arcs, rates, origin, groups, rng, samples):
     weights = _row_major_weights(rng, samples, rates)
-    pruned = relax(prune_arcs(in_arcs, groups), np.ascontiguousarray(weights.T), origin)
+    plan = relax_plan(prune_arcs(in_arcs, groups), origin)
+    pruned = relax(plan, np.ascontiguousarray(weights.T))
     full = sample_major_distances(in_arcs, weights, origin)
     for got, expected in zip(_group_minima(pruned.T, groups), _group_minima(full, groups)):
         assert np.array_equal(got, expected)
@@ -270,7 +321,7 @@ def test_pruning_keeps_nodes_outside_some_group():
     assert [frm.tolist() for frm, _ in pruned] == [[], [0], [], [0, 2]]
     assert [frm.tolist() for frm, _ in prune_arcs(net.in_arcs, [])] == [[], [], [], []]
     rng = np.random.default_rng(45)
-    assert passage_draw(prune_arcs(net.in_arcs, []), net.rates, 0, (), rng, 5) == []
+    assert passage_draw(relax_plan(prune_arcs(net.in_arcs, []), 0), net.rates, (), rng, 5) == []
 
 
 def test_pruned_group_minima_equal_the_full_graphs_on_lattice_boxes():
@@ -297,6 +348,7 @@ NUMBERED_AGAINST_THE_ARCS = {
     "origin-with-in-arcs": (_arcs(3, [(2, 0), (0, 2), (1, 2), (2, 1), (0, 1), (1, 0)]), 2),
     # 4 and 3 are unreachable, and 3 has an arc into a reachable node
     "unreachable": (_arcs(5, [(4, 3), (3, 1), (2, 1), (1, 0), (0, 2)]), 2),
+    "late-improvement": (_arcs(6, LATE_ARCS), 0),
 }
 
 

@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 from functools import partial
 
 import numpy as np
 import pytest
 
+import gossip_aoi
 from gossip_aoi.montecarlo import (
     block_rng,
     block_sizes,
@@ -60,6 +64,19 @@ def _square(block: int) -> int:
 def test_map_blocks_preserves_order():
     assert map_blocks(_square, 5, workers=1) == [0, 1, 4, 9, 16]
     assert map_blocks(_square, 5, workers=2) == [0, 1, 4, 9, 16]
+
+
+def test_a_one_worker_run_never_imports_the_pool():
+    code = ("import os, sys\n"
+            "from gossip_aoi import cli\n"
+            "argv = ['lattice', '--d', '2', '--ell', '2', '--samples', '40000', '--workers', '1',\n"
+            "        '--out', os.devnull]\n"
+            "assert cli.main(argv) == 0\n"
+            "print('concurrent.futures.process' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(gossip_aoi.__file__))
+    run = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert run.stdout == "False\n"
 
 
 def test_power_sums_match_direct_computation():
