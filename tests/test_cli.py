@@ -532,7 +532,9 @@ def _write_isolated_network(path):
 @pytest.mark.parametrize("k", [1, 3])
 def test_solve_json_table_is_the_whole_document_reference(capsys, tmp_path, k):
     path = tmp_path / "net.json"
-    for write in (_write_unreached_network, _write_isolated_network):
+    # each network with the subset the solver must list as zero-rate
+    for write, unreached in ((_write_unreached_network, "11"),
+                             (_write_isolated_network, "2,3,4,5,6,7,8,9,10,11,12")):
         net = write(path)
         argv = ["solve", "--network", str(path), "--k", str(k)]
         assert cli.main(argv) == 0
@@ -543,7 +545,7 @@ def test_solve_json_table_is_the_whole_document_reference(capsys, tmp_path, k):
         solver = moments.MomentSolver(net, k)
         table = solver.solve_all()
         zero_rate = [",".join(map(str, s.ids())) for s in solver.zero_rate_subsets]
-        assert zero_rate and table.get([net.node_count])[1:] == (math.inf,) * k
+        assert unreached in zero_rate and table.get([net.node_count])[1:] == (math.inf,) * k
         config = {"command": "solve", "network": str(path), "k": k, "seed": 0}
         assert text == reference_render_json({
             "schema": 1, "tool": "gossip-aoi", "version": __version__, "command": "solve",

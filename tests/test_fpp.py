@@ -347,7 +347,6 @@ NUMBERED_AGAINST_THE_ARCS = {
     "origin-with-in-arcs": (_arcs(3, [(2, 0), (0, 2), (1, 2), (2, 1), (0, 1), (1, 0)]), 2),
     # 4 and 3 are unreachable, and 3 has an arc into a reachable node
     "unreachable": (_arcs(5, [(4, 3), (3, 1), (2, 1), (1, 0), (0, 2)]), 2),
-    "late-improvement": (_arcs(6, LATE_ARCS), 0),
 }
 
 
