@@ -3,8 +3,9 @@
 Every command emits a versioned report (JSON by default, CSV with
 --format csv) to stdout or --out.  Reports are deterministic for a fixed
 seed — including across --workers settings — so the wall-clock runtime is
-logged to stderr rather than embedded in the document.  ``compare`` runs
-the first-passage and replication blocks through one worker pool; each
+logged to stderr rather than embedded in the document.  --workers sets
+the number of threads that run the Monte-Carlo blocks.  ``compare`` runs
+the first-passage and replication blocks through one pool of them; each
 route is still reduced on its own, so the bytes do not depend on it.
 """
 
@@ -55,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="RNG seed (default 0, always recorded)")
-    common.add_argument("--workers", type=int, default=None, help=f"parallel workers (default ${WORKERS_ENV} or 1)")
+    common.add_argument("--workers", type=int, default=None, help=f"parallel worker threads (default ${WORKERS_ENV} or 1)")
     common.add_argument("--format", choices=("json", "csv"), default="json", help="report format")
     common.add_argument("--out", type=str, default=None, help="write the report here instead of stdout")
 

@@ -10,17 +10,22 @@ different route, which is what makes the two useful as checks on each other.
 Weights are drawn by inverse transform, w = -ln(1 - U)/lambda_e with U
 uniform on [0, 1), so a weight is finite and non-negative.
 
-A block of samples is drawn and relaxed one tile of ``TILE`` samples at a
-time, node-major: a tile's weights are an (edges, tile) array and its
-distances a (nodes, tile) array, so every arc update in ``relax`` is a
-whole-row add and minimum over contiguous memory, with no gather, and the
-working set of a block does not grow with the block.  Each tile's group
-minima go straight into the block's output arrays.  The uniforms are drawn
-in (samples, edges) row-major order, because that order fixes which RNG
-output lands on which (sample, edge) cell; ``exp_weights`` transposes them
-into the node-major buffer as it draws.  Consecutive draws continue one
-stream and relaxation is per sample, so the tile size changes no bit of the
-result.  The lattice sampler runs the same draw with unit rates.
+A block of samples is drawn and relaxed one tile of samples at a time,
+node-major: a tile's weights are an (edges, tile) array and its distances a
+(nodes, tile) array, so every arc update in ``relax`` is a whole-row add and
+minimum over contiguous memory, with no gather, and the working set of a
+block does not grow with the block.  ``tile_samples`` sizes the tile from
+the graph: as many samples as fill ``TILE_BYTES`` with weights and
+distances, but never fewer than ``TILE``.  On a small graph the tiles are
+long, so each numpy call does enough work to run while another thread holds
+the GIL; a graph of 256 rows or more (the d = 8, l = 2 lattice box has 401)
+gets tiles of ``TILE`` samples.  Each tile's group minima go straight into
+the block's output arrays.  The uniforms are drawn in (samples, edges)
+row-major order, because that order fixes which RNG output lands on which
+(sample, edge) cell; ``exp_weights`` transposes them into the node-major
+buffer as it draws.  Consecutive draws continue one stream and relaxation is
+per sample, so the tile size changes no bit of the result.  The lattice
+sampler runs the same draw with unit rates.
 
 Only the arcs that can move a group's minimum are relaxed.  Since
 fl(a + w) >= a for w >= 0, a best path to a group can be cut at its first
@@ -59,15 +64,23 @@ from .network import GossipNetwork, NodeSubset
 # Samples drawn per rng.random call in exp_weights; any value gives the same
 # weights, since consecutive calls continue one stream.
 DRAW_ROWS = 256
-# Samples drawn and relaxed at once by passage_draw; any value gives the same
-# bytes.  A tile's weights and distances take (edges + nodes) * TILE * 8
-# bytes, whatever the block size.
+# Samples drawn and relaxed at once by passage_draw: as many as fill
+# TILE_BYTES with a tile's weights and distances, (edges + nodes) * 8 bytes
+# per sample whatever the block size, but at least TILE.  Any values give
+# the same bytes.
 TILE = 2048
+TILE_BYTES = 4 << 20
 
 
 class UnreachableTargetError(RuntimeError):
     """Raised when no subset member has a path from the source, so every
     passage time is infinite."""
+
+
+def tile_samples(edges: int, nodes: int) -> int:
+    """Samples per tile on a graph of ``edges`` weight rows and ``nodes``
+    distance rows."""
+    return max(TILE, TILE_BYTES // (8 * (edges + nodes)))
 
 
 def exp_weights(rng: np.random.Generator, samples: int, rates: np.ndarray) -> np.ndarray:
@@ -84,8 +97,7 @@ def exp_weights(rng: np.random.Generator, samples: int, rates: np.ndarray) -> np
         u = rng.random((min(DRAW_ROWS, samples - start), edges))
         np.negative(u.T, out=weights[:, start : start + len(u)])
     np.log1p(weights, out=weights)
-    np.negative(weights, out=weights)
-    weights /= rates[:, None]
+    weights /= -rates[:, None]   # -a / r, as (-a) / r == a / (-r) bit for bit
     return weights
 
 
@@ -217,15 +229,16 @@ def passage_draw(
     rng: np.random.Generator,
     size: int,
 ) -> list[np.ndarray]:
-    """Draw and relax one block of ``size`` weight samples, ``TILE`` at a
-    time; per group of nodes return its passage times, the minimum over its
-    members, taken row by row."""
+    """Draw and relax one block of ``size`` weight samples, one tile of
+    ``tile_samples`` at a time; per group of nodes return its passage times,
+    the minimum over its members, taken row by row."""
     # One array holds every group's times: with one array per group, a job
     # of many groups on a small graph ran twice as slow, as the freed
     # arrays went back to the system each block and were faulted in again.
     mins = np.empty((len(groups), size))
-    for start in range(0, size, TILE):
-        dist = relax(plan, exp_weights(rng, min(TILE, size - start), rates))
+    tile = tile_samples(len(rates), plan.nodes)
+    for start in range(0, size, tile):
+        dist = relax(plan, exp_weights(rng, min(tile, size - start), rates))
         for low, (first, *rest) in zip(mins, groups):
             low = low[start : start + dist.shape[1]]
             np.copyto(low, dist[first])

@@ -36,10 +36,12 @@ pruning, drops the arcs into the origin as well.  On a radius-2 box what is
 left points away from the origin, so the one pass in breadth-first order is
 exact and the worklist after it stays empty.  A deeper box keeps the arcs
 that lead back toward the origin, and the worklist reads them only where a
-tail row dropped.  Each block is drawn and relaxed ``fpp.TILE`` samples at
-a time, so its working set is one tile's weights and distances, not the
-block's.  ``montecarlo.sample_moments`` reduces every block's power sums in
-block order, as for the other two samplers.
+tail row dropped.  Each block is drawn and relaxed one tile at a time
+(``fpp.tile_samples``: 2048 samples on the d = 8, l = 2 box and on every
+box with more rows), so a block's working set is one tile's weights and
+distances, not the block's.  ``montecarlo.sample_moments`` reduces every
+block's power sums in block order, as for the other two samplers, and with
+workers > 1 runs the blocks on threads that share the box's plan.
 """
 
 from __future__ import annotations

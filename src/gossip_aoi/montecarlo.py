@@ -8,15 +8,23 @@ stream tag, block index).  A block calls ``draw(rng, size)``, which returns
 one array per group (a subset, or the box boundary) holding the
 observations the group keeps; a draw drops what it cannot observe (a
 replica still uninformed at the horizon), so the kept count may fall short
-of ``size``.  The worker reduces each array to its power sums at once, so
-only k_max-long vectors leave it.  The blocks of all jobs go through one
+of ``size``.  The block reduces each array to its power sums at once, so
+only k_max-long vectors outlive it.  The blocks of all jobs go through one
 ``map_blocks`` call, interleaved round robin (block 0 of every job, then
 block 1, ...), so ``compare``'s one replication block starts at once on one
-core while the first-passage blocks fill the other.  Each job's sums are
+thread while the first-passage blocks fill the other.  Each job's sums are
 added per group in its own block order, so estimates are bit-identical
 across runs, across worker counts and whether a job runs alone or beside
-others; the worker pool only changes who computes a block, never what it
-contains.
+others.
+
+With workers > 1 the blocks run on threads of one process.  That cannot
+change a bit either: a block draws only from its own Generator, allocates
+its own arrays, and only reads what the job shares, which is built before
+any block starts and never written after (the first-passage relaxation
+plan, the rates, the groups, the network and its cached rate tables).  The
+threads overlap because numpy releases the GIL inside its array calls; the
+first-passage tiles (``fpp.tile_samples``) are sized so that each call has
+enough work to overlap.
 """
 
 from __future__ import annotations
@@ -90,32 +98,34 @@ def block_sizes(total: int, block: int) -> list[int]:
 def map_blocks(fn: Callable[[int], T], n_blocks: int, workers: int = 1) -> list[T]:
     """Evaluate ``fn`` on block indices 0..n_blocks-1, results in index order.
 
-    ``fn`` must be picklable (a module-level function or functools.partial of
-    one) when workers > 1.  The pool module is imported only when a pool
-    starts, so a one-worker run does not pay for the import.
+    With workers > 1, ``fn`` runs on a pool of min(workers, n_blocks)
+    threads, so it may be any callable, a closure included, but blocks must
+    not write what they share.  The pool module is imported only when a
+    pool starts, so a one-worker run does not pay for the import.
     """
     check_workers(workers)
     if workers == 1 or n_blocks <= 1:
         return [fn(b) for b in range(n_blocks)]
-    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures import ThreadPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=min(workers, n_blocks)) as pool:
+    with ThreadPoolExecutor(max_workers=min(workers, n_blocks)) as pool:
         return list(pool.map(fn, range(n_blocks)))
 
 
 def power_sums(values: np.ndarray, k_max: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-k sums over ``values``: (sum of x^k, sum of x^(2k)) for k = 1..k_max.
 
-    The x^(2k) sums feed the standard errors of the x^k means.
+    The x^(2k) sums feed the standard errors of the x^k means.  The powers
+    x, x^2, ... are made one at a time in one buffer and summed as they are
+    made, so one power of ``values`` is alive at a time.
     """
-    powers = []
-    p = np.ones_like(values)
-    for _ in range(2 * k_max):
-        p = p * values
-        powers.append(p)
-    sums = np.array([powers[k - 1].sum() for k in range(1, k_max + 1)])
-    sqsums = np.array([powers[2 * k - 1].sum() for k in range(1, k_max + 1)])
-    return sums, sqsums
+    sums = np.empty(2 * k_max)   # sums[j] is the sum of x^(j+1)
+    p = values.copy()
+    for j in range(2 * k_max):
+        if j:
+            np.multiply(p, values, out=p)
+        sums[j] = p.sum()
+    return sums[:k_max], sums[1::2]
 
 
 def moments_from_power_sums(
@@ -161,8 +171,8 @@ def sample_moments(
 ) -> list[list[tuple[int, list[MomentEstimate]]]]:
     """Per job, per group: (kept count, moment estimates over the kept observations).
 
-    Every job is checked before any block is drawn; ``draw`` must be
-    picklable when workers > 1.  A group that kept nothing has no estimates.
+    Every job is checked before any block is drawn.  A group that kept
+    nothing has no estimates.
     """
     jobs = tuple(jobs)
     for _, k_max, _, _, _ in jobs:

@@ -300,7 +300,7 @@ def replication_job(
     """The pipeline job that simulates ``replicas`` replicas to ``horizon``,
     one group per subset (checked and distinct) holding its ages there."""
     check_replication(replicas, horizon)
-    _event_rate(net)
+    _event_rate(net)   # also caches the rate tables every block reads
     draw = partial(_replication_draw, net, tuple(s.ids() for s in subsets), horizon)
     return draw, k_max, replicas, montecarlo.REPLICATION_BLOCK, montecarlo.STREAM_REPLICATION
 

@@ -179,6 +179,18 @@ def sample_major_distances(
     return dist
 
 
+def reference_power_sums(values: np.ndarray, k_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """(sum of x^k, sum of x^(2k)) for k = 1..k_max, each power made by
+    repeated multiplication from ones and kept in its own array."""
+    powers = []
+    p = np.ones_like(values)
+    for _ in range(2 * k_max):
+        p = p * values
+        powers.append(p)
+    return (np.array([powers[k - 1].sum() for k in range(1, k_max + 1)]),
+            np.array([powers[2 * k - 1].sum() for k in range(1, k_max + 1)]))
+
+
 def rate_into(net: GossipNetwork, node: int, subset: NodeSubset | Iterable[int]) -> float:
     """Total rate at which ``node`` updates the subset: sum of lambda_{node,v}
     over members v, and 0 by convention when ``node`` itself is a member."""

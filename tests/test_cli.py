@@ -255,8 +255,10 @@ def test_simulate_reports_keep_their_golden_bytes(golden_dir):
 @pytest.mark.parametrize("tile", [1, 7, montecarlo.FPP_BLOCK + 1])
 def test_passage_reports_do_not_depend_on_the_tile_size(golden_dir, monkeypatch, tile):
     # 1 and 7 split every block into many tiles, 7 with a ragged last one;
-    # the third relaxes each block as one tile.
+    # the third relaxes each block as one tile.  With no TILE_BYTES, every
+    # graph gets tiles of TILE samples.
     monkeypatch.setattr(fpp, "TILE", tile)
+    monkeypatch.setattr(fpp, "TILE_BYTES", 0)
     for workers in ("1", "2"):
         for name in ("fpp.json", "lattice.csv", "compare.json"):
             command, fmt = name.split(".")

@@ -18,7 +18,7 @@ from gossip_aoi import (
     montecarlo,
     solve_moments,
 )
-from gossip_aoi.fpp import exp_weights, passage_draw, prune_arcs, relax, relax_plan
+from gossip_aoi.fpp import exp_weights, passage_draw, prune_arcs, relax, relax_plan, tile_samples
 from gossip_aoi.network import group_in_arcs
 from helpers import (
     WeightSample,
@@ -252,6 +252,12 @@ def test_a_node_that_improves_after_its_successors_moves_them():
     assert plan.order == (0, 1, 2, 3, 5, 4)
     dist = relax(plan, np.array(LATE_WEIGHTS)[:, None])
     assert dist[:, 0].tolist() == [0.0, 4.0, 3.0, 1.0, 2.0, 5.0]
+
+
+def test_tiles_fill_tile_bytes_but_never_drop_below_tile():
+    box = build_box(8, 2)
+    assert tile_samples(len(box.edges), len(box.vertices)) == 2048
+    assert tile_samples(50, 13) == (4 << 20) // (8 * 63)   # a 12-node network, 50 edges
 
 
 def test_one_block_is_relaxed_in_bounded_memory():

@@ -3,16 +3,21 @@
 from __future__ import annotations
 
 import math
+import multiprocessing
 import os
+import pickle
 import subprocess
 import sys
+import threading
 from functools import partial
 
 import numpy as np
 import pytest
 
 import gossip_aoi
+from gossip_aoi import fpp, simulate
 from gossip_aoi.montecarlo import (
+    REPLICATION_BLOCK,
     block_rng,
     block_sizes,
     check_order,
@@ -22,6 +27,7 @@ from gossip_aoi.montecarlo import (
     power_sums,
     sample_moments,
 )
+from helpers import random_network, reference_power_sums
 
 
 def test_block_sizes_partition_the_total():
@@ -66,17 +72,59 @@ def test_map_blocks_preserves_order():
     assert map_blocks(_square, 5, workers=2) == [0, 1, 4, 9, 16]
 
 
+def test_map_blocks_runs_closures_on_threads_in_index_order():
+    finished = []
+    block_1_done = threading.Event()
+
+    def block(b: int) -> int:
+        if b == 0:   # waits for block 1, which only a second thread can run meanwhile
+            block_1_done.wait(timeout=30)
+        finished.append(b)
+        if b == 1:
+            block_1_done.set()
+        return b * b
+
+    with pytest.raises((pickle.PicklingError, AttributeError)):
+        pickle.dumps(block)
+    assert map_blocks(block, 5, workers=2) == [0, 1, 4, 9, 16]
+    assert finished.index(1) < finished.index(0)
+    assert multiprocessing.active_children() == []
+
+
+def test_blocks_on_four_threads_keep_their_bits():
+    # Four threads switched every microsecond would expose a block that
+    # writes what the blocks share: the plan, the rates or the network's
+    # tables.  Many short first-passage blocks make their relaxations
+    # overlap; a scratch row shared by all of them fails this test.
+    net = random_network(np.random.default_rng(83), 6, p=0.4, reachable=True)
+    subsets = [net.check_subset(ids) for ids in ([2], [1, 5], [3, 4, 6])]
+    draw, k_max, _, _, stream = fpp.passage_job(net, subsets, 3, 1)
+    jobs = [(draw, k_max, 64 * 1024 + 5, 1024, stream),
+            simulate.replication_job(net, subsets, 3, 2 * REPLICATION_BLOCK + 3, 4.0)]
+    alone = sample_moments(jobs, seed=8, workers=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = sample_moments(jobs, seed=8, workers=4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert repr(threaded) == repr(alone)   # repr round-trips every float bit
+
+
 def test_a_one_worker_run_never_imports_the_pool():
+    # The two-worker run after it, over the same two blocks, shows that the
+    # check looks for the module the pool imports.
     code = ("import os, sys\n"
             "from gossip_aoi import cli\n"
-            "argv = ['lattice', '--d', '2', '--ell', '2', '--samples', '40000', '--workers', '1',\n"
-            "        '--out', os.devnull]\n"
-            "assert cli.main(argv) == 0\n"
-            "print('concurrent.futures.process' in sys.modules)\n")
+            "for workers in ('1', '2'):\n"
+            "    argv = ['lattice', '--d', '2', '--ell', '2', '--samples', '40000',\n"
+            "            '--workers', workers, '--out', os.devnull]\n"
+            "    assert cli.main(argv) == 0\n"
+            "    print('concurrent.futures' in sys.modules)\n")
     src = os.path.dirname(os.path.dirname(gossip_aoi.__file__))
     run = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                          capture_output=True, text=True, check=True, timeout=60)
-    assert run.stdout == "False\n"
+    assert run.stdout == "False\nTrue\n"
 
 
 def test_power_sums_match_direct_computation():
@@ -85,6 +133,15 @@ def test_power_sums_match_direct_computation():
     for k in (1, 2, 3):
         assert sums[k - 1] == pytest.approx(np.sum(values**k))
         assert sq[k - 1] == pytest.approx(np.sum(values ** (2 * k)))
+
+
+@pytest.mark.parametrize("size", [0, 1, 7, 1000])
+def test_power_sums_are_the_repeated_products_bit_for_bit(size):
+    values = np.random.default_rng([82, size]).exponential(1.0, size)
+    for k_max in (1, 3, 20):
+        got = power_sums(values, k_max)
+        expected = reference_power_sums(values, k_max)
+        assert all(np.array_equal(a, b) for a, b in zip(got, expected))
 
 
 def test_moment_estimates_match_numpy():
