@@ -6,11 +6,7 @@ simulation — plus finite-box passage values on the integer lattice and a
 CLI that cross-checks the routes against each other.
 """
 
-from .fpp import (
-    UnreachableTargetError,
-    estimate_moments,
-    estimate_moments_subsets,
-)
+from .fpp import UnreachableTargetError, estimate_moments
 from .lattice import (
     LatticeBox,
     box_recursion,
@@ -35,7 +31,6 @@ from .network import (
 from .simulate import (
     PendingReplicasError,
     ReplicationResult,
-    estimate_moments_replication,
     estimate_moments_timeavg,
     pilot_t0,
     replication_results,
@@ -60,8 +55,6 @@ __all__ = [
     "box_recursion",
     "build_box",
     "estimate_moments",
-    "estimate_moments_replication",
-    "estimate_moments_subsets",
     "estimate_moments_timeavg",
     "load_network",
     "mc_boundary_passage",

@@ -163,10 +163,10 @@ def _cmd_fpp(args: argparse.Namespace) -> int:
     net = _load(args.network)
     config = {"command": "fpp", "network": args.network, "subset": args.subset,
               "k": args.k, "samples": args.samples, "seed": check_seed(args.seed)}
-    estimates = fpp.estimate_moments(net, args.subset, args.k, args.samples,
-                                     seed=args.seed, workers=args.workers)
-    _emit_estimates(config, {"subset": list(net.check_subset(args.subset).ids())},
-                    estimates, args)
+    subset = net.check_subset(args.subset)
+    estimates = fpp.estimate_moments(net, [subset], args.k, args.samples,
+                                     seed=args.seed, workers=args.workers)[subset]
+    _emit_estimates(config, {"subset": list(subset.ids())}, estimates, args)
     return 0
 
 

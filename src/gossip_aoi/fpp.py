@@ -41,7 +41,9 @@ minimum is a running ``np.minimum`` over the member rows.
 
 ``passage_job`` makes the job that ``montecarlo.sample_moments`` runs; each
 block is one draw: it returns every subset's passage times, and the pipeline
-turns them into power sums and adds those in block order.  Reachability is a
+turns them into power sums and adds those in block order.
+``estimate_moments``, the route's one entry point, runs that job for a list
+of subsets and returns their estimates by subset.  Reachability is a
 property of the graph, since every weight is finite: a subset with no member
 reachable from the source raises ``UnreachableTargetError`` when the job is
 made, before any block is drawn, and every other subset's passage times are
@@ -270,7 +272,7 @@ def passage_job(
     return draw, k_max, samples, montecarlo.FPP_BLOCK, montecarlo.STREAM_FPP
 
 
-def estimate_moments_subsets(
+def estimate_moments(
     net: GossipNetwork,
     subsets: Iterable[NodeSubset | Iterable[int]],
     k_max: int,
@@ -278,22 +280,10 @@ def estimate_moments_subsets(
     seed: int = 0,
     workers: int = 1,
 ) -> dict[NodeSubset, list[MomentEstimate]]:
-    """Empirical passage-time moments for several subsets sharing one sample set."""
+    """Empirical passage-time moments for each subset, all from one set of
+    fresh samples; keyed by checked subset, duplicates dropped."""
     checked = list(dict.fromkeys(map(net.check_subset, subsets)))
     montecarlo.check_seed(seed)
     job = passage_job(net, checked, k_max, samples)
     [groups] = montecarlo.sample_moments([job], seed, workers)
     return {s: estimates for s, (_, estimates) in zip(checked, groups)}
-
-
-def estimate_moments(
-    net: GossipNetwork,
-    subset: NodeSubset | Iterable[int],
-    k_max: int,
-    samples: int,
-    seed: int = 0,
-    workers: int = 1,
-) -> list[MomentEstimate]:
-    """Empirical raw moments of the subset's passage time over fresh samples."""
-    s = net.check_subset(subset)
-    return estimate_moments_subsets(net, [s], k_max, samples, seed, workers)[s]

@@ -35,7 +35,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .montecarlo import check_order
-from .network import GossipNetwork, NodeSubset, as_subset
+from .network import GossipNetwork, NodeSubset
 
 EXHAUSTIVE_CAP = 20          # solve_all enumerates 2^N - 1 subsets
 DEFAULT_MEMO_LIMIT = 1 << 21
@@ -60,9 +60,6 @@ class MomentTable:
 
     k_max: int
     entries: np.ndarray
-
-    def get(self, subset: NodeSubset | Iterable[int]) -> tuple[float, ...]:
-        return (1.0, *self.entries[as_subset(subset).mask // 2 - 1].tolist())
 
     def csv_header(self) -> list[str]:
         return ["subset"] + [f"v{k}" for k in range(1, self.k_max + 1)]

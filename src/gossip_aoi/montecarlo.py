@@ -75,7 +75,7 @@ def check_seed(seed: int) -> int:
 
 
 def check_order(k_max: int) -> int:
-    if not isinstance(k_max, int) or k_max < 1:
+    if not isinstance(k_max, int) or isinstance(k_max, bool) or k_max < 1:
         raise ValueError(f"moment order must be a positive integer, got {k_max!r}")
     if k_max > MAX_MOMENT_ORDER:
         raise ValueError(f"moment order {k_max} exceeds the supported maximum of {MAX_MOMENT_ORDER}")

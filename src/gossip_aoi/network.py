@@ -57,9 +57,6 @@ class NodeSubset:
     def ids(self) -> tuple[int, ...]:
         return tuple(i for i in range(1, self.mask.bit_length()) if self.mask >> i & 1)
 
-    def with_node(self, node: int) -> NodeSubset:
-        return NodeSubset(self.mask | (1 << node))
-
     def __contains__(self, node: int) -> bool:
         return bool(self.mask >> node & 1)
 
@@ -182,9 +179,6 @@ class GossipNetwork:
     def total_rate(self) -> float:
         """Sum of all edge rates (the superposed event rate)."""
         return self.cumulative_rates[-1] if self.edges else 0.0
-
-    def full_subset(self) -> NodeSubset:
-        return NodeSubset(((1 << (self.node_count + 1)) - 1) & ~1)
 
     def check_subset(self, subset: NodeSubset | Iterable[int]) -> NodeSubset:
         """Validate a non-empty subset against this network and return the NodeSubset."""

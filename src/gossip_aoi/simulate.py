@@ -7,9 +7,10 @@ keeps the newer of the two (the source always sends the current time).  The
 age of node u at time t is t - N_u(t) where N_u is its held timestamp.
 
 Two estimators are provided for the steady-state age moments of a subset:
-``estimate_moments_replication`` (one observation per independent replica at
-a fixed horizon) and ``estimate_moments_timeavg`` (exact per-segment time
-integrals along a single long trajectory, batch-means standard errors).
+``replication_results`` (one observation per independent replica at a fixed
+horizon, for several subsets sharing one replica set) and
+``estimate_moments_timeavg`` (exact per-segment time integrals along a
+single long trajectory, batch-means standard errors).
 ``replication_job`` makes the job that ``montecarlo.sample_moments`` runs;
 a replica block is one draw: it returns each subset's ages at the horizon,
 and the pipeline reduces them in block order; replicas the draw left out
@@ -166,6 +167,8 @@ def pilot_t0(
     """
     s = net.check_subset(subset)
     montecarlo.check_seed(seed)
+    if replicas < 1:
+        raise ValueError(f"need at least 1 pilot replica, got {replicas}")
     _event_rate(net)
     cut_off = s.mask & ~net.reachable
     if cut_off:
@@ -314,7 +317,13 @@ def replication_results(
     seed: int = 0,
     workers: int = 1,
 ) -> dict[NodeSubset, ReplicationResult]:
-    """Replication estimates for several subsets sharing one set of replicas."""
+    """Raw age moments at the horizon for several subsets sharing one set of
+    replicas, keyed by checked subset, duplicates dropped.
+
+    The horizon should sit well past t_0 (see :func:`pilot_t0`).  Replicas
+    that have not informed a subset by then are left out of its estimates
+    and counted in its ``pending``, which :func:`check_pending` gates.
+    """
     checked = list(dict.fromkeys(map(net.check_subset, subsets)))
     job = replication_job(net, checked, k_max, replicas, horizon)
     [groups] = montecarlo.sample_moments([job], seed, workers)
@@ -329,27 +338,6 @@ def check_pending(result: ReplicationResult, subset: NodeSubset, horizon: float)
             f"{result.pending} of {result.replicas} replicas never fully informed subset "
             f"{subset} by horizon {horizon}; raise the horizon"
         )
-
-
-def estimate_moments_replication(
-    net: GossipNetwork,
-    subset: NodeSubset | Iterable[int],
-    k_max: int,
-    replicas: int,
-    horizon: float,
-    seed: int = 0,
-    workers: int = 1,
-) -> list[MomentEstimate]:
-    """Raw age moments at the horizon, one observation per replica.
-
-    The horizon should sit well past t_0 (see :func:`pilot_t0`); replicas
-    still uninformed at the horizon are excluded (visible via sample_count)
-    and more than 1 % of them is an error.
-    """
-    s = net.check_subset(subset)
-    result = replication_results(net, [s], k_max, replicas, horizon, seed, workers)[s]
-    check_pending(result, s, horizon)
-    return list(result.estimates)
 
 
 # ---- time-average estimator ------------------------------------------------

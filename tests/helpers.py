@@ -70,6 +70,11 @@ def all_subsets(n: int) -> list[tuple[int, ...]]:
     ]
 
 
+def full_subset(net: GossipNetwork) -> NodeSubset:
+    """Every non-source node of ``net``."""
+    return NodeSubset.of(range(1, net.node_count + 1))
+
+
 def simple_paths_to(net: GossipNetwork, subset: Iterable[int]) -> list[tuple[int, ...]]:
     """All simple source paths stopping at their first subset member, as
     edge-index tuples.  With positive weights the minimum passage time is
@@ -636,7 +641,7 @@ def timeavg_trace(
     events on average, and the burn-in, half of it, lies past t_0."""
     trace: list[tuple[float, int, int, float]] = []
     horizon = (events + 10.0 * math.sqrt(events)) / net.total_rate
-    estimate_moments_timeavg(net, net.full_subset(), 1, horizon, horizon / 2, seed=seed,
+    estimate_moments_timeavg(net, full_subset(net), 1, horizon, horizon / 2, seed=seed,
                              trace=trace.append)
     if len(trace) < events:
         raise ValueError(f"trace holds {len(trace)} events, wanted {events}")
@@ -697,6 +702,11 @@ def reference_render_csv(header: Sequence[str], rows: Iterable[Sequence[Any]],
     writer.writerow(header)
     writer.writerows(rows)
     return buf.getvalue()
+
+
+def table_row(table: MomentTable, subset: NodeSubset | Iterable[int]) -> tuple[float, ...]:
+    """v^0..v^K of ``subset`` from an exhaustive table, v^0 = 1."""
+    return (1.0, *table.entries[as_subset(subset).mask // 2 - 1].tolist())
 
 
 def table_map(table: MomentTable) -> dict[str, list[float]]:

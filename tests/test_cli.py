@@ -16,7 +16,8 @@ from gossip_aoi import (Edge, GossipNetwork, NodeSubset, __version__, cli, fpp, 
                         moments, montecarlo, reporting, simulate)
 from gossip_aoi.moments import MomentTable
 from gossip_aoi.reporting import json_ready, render_csv, render_json
-from helpers import random_network, reference_render_csv, reference_render_json, table_map
+from helpers import (random_network, reference_render_csv, reference_render_json, table_map,
+                     table_row)
 
 LINE_DOC = (
     '{"nodes": 2, "edges": ['
@@ -501,7 +502,7 @@ def test_solve_csv_table_is_the_csv_writer_reference(capsys, tmp_path):
     rows = []
     for mask in range(2, 1 << 11, 2):   # row mask // 2 - 1 holds the subset mask
         subset = NodeSubset(mask)
-        rows.append([",".join(map(str, subset.ids())), *table.get(subset)[1:]])
+        rows.append([",".join(map(str, subset.ids())), *table_row(table, subset)[1:]])
     assert rows[(1 << 10) // 2 - 1] == ["10", math.inf, math.inf, math.inf]
     preamble = text.partition("\n")[0] + "\n"
     assert text == reference_render_csv(["subset", "v1", "v2", "v3"], rows, preamble)
@@ -547,7 +548,7 @@ def test_solve_json_table_is_the_whole_document_reference(capsys, tmp_path, k):
         solver = moments.MomentSolver(net, k)
         table = solver.solve_all()
         zero_rate = [",".join(map(str, s.ids())) for s in solver.zero_rate_subsets]
-        assert unreached in zero_rate and table.get([net.node_count])[1:] == (math.inf,) * k
+        assert unreached in zero_rate and table_row(table, [net.node_count])[1:] == (math.inf,) * k
         config = {"command": "solve", "network": str(path), "k": k, "seed": 0}
         assert text == reference_render_json({
             "schema": 1, "tool": "gossip-aoi", "version": __version__, "command": "solve",

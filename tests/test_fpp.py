@@ -14,7 +14,6 @@ from gossip_aoi import (
     UnreachableTargetError,
     build_box,
     estimate_moments,
-    estimate_moments_subsets,
     montecarlo,
     solve_moments,
 )
@@ -70,47 +69,48 @@ def test_first_passage_time_validates_input():
 
 def test_estimate_moments_star_and_line():
     star = star_network(1.0)
-    estimates = estimate_moments(star, [1], 2, 1_000_000, seed=3)
+    [estimates] = estimate_moments(star, [[1]], 2, 1_000_000, seed=3).values()
     assert abs(estimates[0].mean - 1.0) <= 4 * estimates[0].std_error
     assert abs(estimates[1].mean - 2.0) <= 4 * estimates[1].std_error
     assert estimates[0].sample_count == 1_000_000
 
     line = line_network(1.0, 2.0)
-    est = estimate_moments(line, [2], 1, 1_000_000, seed=4)[0]
+    [(est,)] = estimate_moments(line, [[2]], 1, 1_000_000, seed=4).values()
     assert abs(est.mean - 1.5) <= 4 * est.std_error
 
 
 def test_estimates_bit_identical_across_runs_and_workers():
     net = line_network(1.0, 2.0)
-    base = estimate_moments(net, [2], 3, 70_000, seed=42)
-    again = estimate_moments(net, [2], 3, 70_000, seed=42)
-    spread = estimate_moments(net, [2], 3, 70_000, seed=42, workers=3)
+    base = estimate_moments(net, [[2]], 3, 70_000, seed=42)
+    again = estimate_moments(net, [[2]], 3, 70_000, seed=42)
+    spread = estimate_moments(net, [[2]], 3, 70_000, seed=42, workers=3)
     assert base == again == spread
 
 
 def test_subsets_share_one_sample_set_and_dedupe():
     net = line_network(1.0, 2.0)
     a, b = net.check_subset([2]), net.check_subset([1, 2])
-    shared = estimate_moments_subsets(net, [a, [1, 2], [2]], 2, 40_000, seed=43)
+    shared = estimate_moments(net, [a, [1, 2], [2]], 2, 40_000, seed=43)
     assert list(shared) == [a, b]
-    assert shared[a] == estimate_moments(net, a, 2, 40_000, seed=43)
-    assert shared[b] == estimate_moments(net, b, 2, 40_000, seed=43)
+    assert shared[a] == estimate_moments(net, [a], 2, 40_000, seed=43)[a]
+    assert shared[b] == estimate_moments(net, [b], 2, 40_000, seed=43)[b]
 
 
 def test_unreachable_subset_is_reported(monkeypatch):
     net = GossipNetwork(node_count=2, edges=(Edge(0, 1, 1.0),))
-    assert estimate_moments(net, [1, 2], 1, 1000, seed=0)[0].sample_count == 1000
+    [(est,)] = estimate_moments(net, [[1, 2]], 1, 1000, seed=0).values()
+    assert est.sample_count == 1000
 
     def refuse(*cell):
         raise AssertionError("a sample block was drawn")
 
     monkeypatch.setattr(montecarlo, "block_rng", refuse)
     with pytest.raises(UnreachableTargetError, match=r"subset \{2\}: 1000 of 1000 samples"):
-        estimate_moments(net, [2], 1, 1000, seed=0)
+        estimate_moments(net, [[2]], 1, 1000, seed=0)
     with pytest.raises(UnreachableTargetError, match=r"\{2\}"):
-        estimate_moments_subsets(net, [[1], [2]], 1, 1000, seed=0)
+        estimate_moments(net, [[1], [2]], 1, 1000, seed=0)
     with pytest.raises(ValueError, match="sample count must be positive"):
-        estimate_moments(net, [2], 1, 0, seed=0)
+        estimate_moments(net, [[2]], 1, 0, seed=0)
 
 
 def test_passage_time_is_pointwise_monotone_in_the_subset():
@@ -182,7 +182,7 @@ def test_sampler_agrees_with_the_solver_on_a_random_network():
     net = random_network(rng, 5, p=0.5, reachable=True)
     for ids in all_subsets(5):
         exact = solve_moments(net, ids, 3)
-        estimates = estimate_moments(net, ids, 3, 200_000, seed=38)
+        [estimates] = estimate_moments(net, [ids], 3, 200_000, seed=38).values()
         for k in (1, 2, 3):
             est = estimates[k - 1]
             assert abs(est.mean - exact[k]) <= 4 * est.std_error

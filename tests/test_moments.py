@@ -24,6 +24,7 @@ from helpers import (
     line_network,
     random_network,
     star_network,
+    table_row,
 )
 
 
@@ -62,9 +63,9 @@ def test_unreachable_subset_is_infinite_and_diagnosed():
 def test_solve_all_line_table():
     table = MomentSolver(line_network(1.0, 2.0), 1).solve_all()
     assert len(table.entries) == 3
-    assert table.get([1])[1] == pytest.approx(1.0, abs=1e-12)
-    assert table.get([2])[1] == pytest.approx(1.5, abs=1e-12)
-    assert table.get([1, 2])[1] == pytest.approx(1.0, abs=1e-12)
+    assert table_row(table, [1])[1] == pytest.approx(1.0, abs=1e-12)
+    assert table_row(table, [2])[1] == pytest.approx(1.5, abs=1e-12)
+    assert table_row(table, [1, 2])[1] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_solve_all_enumerates_every_subset():
@@ -90,7 +91,7 @@ def test_solve_all_matches_memo_recursion_bitwise():
         memo = MemoMomentSolver(net, k)
         for ids in all_subsets(n):
             expected = memo.solve(ids)
-            assert table.get(ids) == expected, (trial, ids)
+            assert table_row(table, ids) == expected, (trial, ids)
             assert single.solve(ids) == expected, (trial, ids)
         assert exhaustive.zero_rate_subsets == memo.zero_rate_subsets
         assert single.zero_rate_subsets == memo.zero_rate_subsets

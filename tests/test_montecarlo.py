@@ -56,7 +56,7 @@ def test_check_seed_rejects_non_integers():
 def test_check_order_bounds_the_moment_order():
     assert check_order(1) == 1
     assert check_order(20) == 20
-    for bad in (0, 1.5, "3"):
+    for bad in (0, 1.5, "3", True):
         with pytest.raises(ValueError, match="moment order must be a positive integer"):
             check_order(bad)
     with pytest.raises(ValueError, match="moment order 21 exceeds the supported maximum of 20"):

@@ -14,7 +14,6 @@ from gossip_aoi import (
     GossipNetwork,
     PendingReplicasError,
     ReplicationResult,
-    estimate_moments_replication,
     estimate_moments_timeavg,
     montecarlo,
     pilot_t0,
@@ -32,6 +31,7 @@ from helpers import (
     age_of,
     age_power_integral,
     detect_t0,
+    full_subset,
     line_network,
     new_state,
     random_network,
@@ -238,6 +238,12 @@ def test_pilot_t0_bounds_the_informing_time():
 
     with pytest.raises(PendingReplicasError, match=r"subset \{2\} still uninformed after 1 events"):
         pilot_t0(net, [2], replicas=1, seed=53, event_cap=1)
+
+
+@pytest.mark.parametrize("replicas", [0, -1])
+def test_pilot_rejects_a_replica_count_below_one(replicas):
+    with pytest.raises(ValueError, match=f"need at least 1 pilot replica, got {replicas}"):
+        pilot_t0(line_network(1.0, 2.0), [2], replicas=replicas)
 
 
 def test_pilot_fails_at_once_on_an_unreachable_subset(monkeypatch):
@@ -453,12 +459,14 @@ def test_replication_kernel_is_bitwise_the_reference_kernel():
 
 def test_replication_star_and_line_moments():
     star = star_network(1.0)
-    estimates = estimate_moments_replication(star, [1], 2, 100_000, 50.0, seed=58)
+    [result] = replication_results(star, [[1]], 2, 100_000, 50.0, seed=58).values()
+    estimates = result.estimates
     assert abs(estimates[0].mean - 1.0) <= 4 * estimates[0].std_error
     assert abs(estimates[1].mean - 2.0) <= 4 * estimates[1].std_error
 
     line = line_network(1.0, 2.0)
-    est = estimate_moments_replication(line, [2], 1, 100_000, 50.0, seed=59)[0]
+    [result] = replication_results(line, [[2]], 1, 100_000, 50.0, seed=59).values()
+    est = result.estimates[0]
     assert abs(est.mean - 1.5) <= 4 * est.std_error
 
 
@@ -466,9 +474,10 @@ def test_replication_agrees_with_the_solver_on_a_random_network():
     rng = np.random.default_rng(60)
     net = random_network(rng, 5, p=0.5, reachable=True)
     subset = (2, 4)
-    horizon = 3.0 * max(pilot_t0(net, net.full_subset(), seed=61))
+    horizon = 3.0 * max(pilot_t0(net, full_subset(net), seed=61))
     exact = solve_moments(net, subset, 3)
-    estimates = estimate_moments_replication(net, subset, 3, 60_000, horizon, seed=61)
+    [result] = replication_results(net, [subset], 3, 60_000, horizon, seed=61).values()
+    estimates = result.estimates
     for k in (1, 2, 3):
         est = estimates[k - 1]
         assert abs(est.mean - exact[k]) <= 4 * est.std_error
@@ -481,7 +490,7 @@ def test_replication_counts_and_rejects_pending_replicas():
     assert result.pending > 0
     assert result.estimates[0].sample_count == result.replicas - result.pending
     with pytest.raises(PendingReplicasError, match="pending|informed"):
-        estimate_moments_replication(net, [2], 1, 2000, 2.0, seed=62)
+        check_pending(result, subset, 2.0)
 
 
 @pytest.mark.xfail(strict=True, reason=(
@@ -507,8 +516,8 @@ def test_replication_subsets_share_one_replica_set_and_dedupe():
     shared = replication_results(net, [a, [1, 2], [2]], 2, 20_000, 30.0, seed=65)
     assert list(shared) == [a, b]
     for s in (a, b):
-        alone = estimate_moments_replication(net, s, 2, 20_000, 30.0, seed=65)
-        assert list(shared[s].estimates) == alone
+        alone = replication_results(net, [s], 2, 20_000, 30.0, seed=65)[s]
+        assert shared[s].estimates == alone.estimates
         assert shared[s].replicas == 20_000
 
 
@@ -527,16 +536,17 @@ def test_check_pending_allows_one_percent():
 
 def test_replication_deterministic_across_workers():
     net = line_network(1.0, 2.0)
-    one = estimate_moments_replication(net, [2], 2, 40_000, 30.0, seed=63, workers=1)
-    two = estimate_moments_replication(net, [2], 2, 40_000, 30.0, seed=63, workers=2)
+    one = replication_results(net, [[2]], 2, 40_000, 30.0, seed=63, workers=1)
+    two = replication_results(net, [[2]], 2, 40_000, 30.0, seed=63, workers=2)
     assert one == two
 
 
 def test_replication_is_stationary_past_t0():
     net = line_network(1.0, 2.0)
     h = 30.0
-    at_h = estimate_moments_replication(net, [2], 2, 30_000, h, seed=64)
-    at_2h = estimate_moments_replication(net, [2], 2, 30_000, 2 * h, seed=65)
+    [result_h] = replication_results(net, [[2]], 2, 30_000, h, seed=64).values()
+    [result_2h] = replication_results(net, [[2]], 2, 30_000, 2 * h, seed=65).values()
+    at_h, at_2h = result_h.estimates, result_2h.estimates
     for k in (0, 1):
         gap = abs(at_h[k].mean - at_2h[k].mean)
         assert gap <= 4 * math.hypot(at_h[k].std_error, at_2h[k].std_error)
