@@ -308,6 +308,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (NetworkConfigError, ValueError, RuntimeError) as exc:
         print(f"{TOOL_NAME}: error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:   # _load reports an unreadable input, so this is an output
+        print(f"{TOOL_NAME}: error: cannot write output: {exc}", file=sys.stderr)
+        return 2
     elapsed = time.perf_counter() - start
     print(f"{TOOL_NAME}: {args.command} finished in {elapsed:.3f}s", file=sys.stderr)
     return code

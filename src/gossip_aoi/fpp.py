@@ -27,17 +27,15 @@ buffer as it draws.  Consecutive draws continue one stream and relaxation is
 per sample, so the tile size changes no bit of the result.  The lattice
 sampler runs the same draw with unit rates.
 
-Only the arcs that can move a group's minimum are relaxed.  Since
-fl(a + w) >= a for w >= 0, a best path to a group can be cut at its first
-member; so ``prune_arcs`` drops the arcs out of every node that lies in all
-the groups of a draw.  ``relax_plan`` then orders the nodes breadth first
-from the origin, without the origin's in-arcs and the nodes it cannot reach,
-and splits each node's kept in-arcs into those from earlier nodes and the
-rest.  Both run once per job.  ``relax`` makes one pass in that order over
-the forward arcs; when no kept arc points backward, that pass is exact and
-the only one.  Otherwise a worklist follows: a node is read again only over
-the in-arcs whose tail row dropped since it last read them.  The group
-minimum is a running ``np.minimum`` over the member rows.
+Once per job, ``relax_plan`` turns the graph's (tail, head, edge index)
+arcs, an origin and the job's groups into the plan that every block reads:
+the arcs that can move a group minimum, ordered breadth first from the
+origin, with the groups themselves; its docstring gives the rules.
+``relax`` makes one pass in that order over the forward arcs; when no kept
+arc points backward, that pass is exact and the only one.  Otherwise a
+worklist follows: a node is read again only over the in-arcs whose tail row
+dropped since it last read them.  The group minimum is a running
+``np.minimum`` over the member rows.
 
 ``passage_job`` makes the job that ``montecarlo.sample_moments`` runs; each
 block is one draw: it returns every subset's passage times, and the pipeline
@@ -103,49 +101,50 @@ def exp_weights(rng: np.random.Generator, samples: int, rates: np.ndarray) -> np
     return weights
 
 
-def prune_arcs(
-    in_arcs: Sequence[tuple[np.ndarray, np.ndarray]], groups: Sequence[Sequence[int]]
-) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """``in_arcs`` without the arcs out of the nodes that lie in every group.
-
-    Every group's minimum stays exact: a path that reaches a member through
-    such a node reaches that node first, at a time no later, since
-    fl(a + w) >= a for w >= 0.  With no groups there is no minimum to keep,
-    and every arc drops.
-    """
-    common = set(range(len(in_arcs)))
-    for ids in groups:
-        common.intersection_update(ids)
-    kept = np.ones(len(in_arcs), dtype=bool)
-    kept[list(common)] = False
-    return tuple((frm[kept[frm]], eidx[kept[frm]]) for frm, eidx in in_arcs)
-
-
 class RelaxPlan(NamedTuple):
-    """What ``relax`` needs of a graph and an origin, worked out once per job.
-
-    A node's position is its place in ``order``, the nodes the origin
-    reaches, breadth first, the origin at 0.  For the node at position p,
-    ``ahead[p]`` holds the (tail position, edge index) in-arcs from earlier
-    positions, never empty for p >= 1, since it holds the node's
-    breadth-first parent; ``behind`` maps p to its other in-arcs, when it has
-    any, and ``out[p]`` holds the (head position, edge index) arcs out of it.
-    Arcs into the origin and from nodes it cannot reach are left out.
-    """
+    """What ``relax`` and ``passage_draw`` need of a graph, an origin and
+    groups of nodes, built once per job by ``relax_plan``, whose docstring
+    gives the fields."""
 
     nodes: int
     order: tuple[int, ...]
     ahead: tuple[tuple[tuple[int, int], ...], ...]
     behind: dict[int, tuple[tuple[int, int], ...]]
     out: tuple[tuple[tuple[int, int], ...], ...]
+    groups: tuple[tuple[int, ...], ...]
 
 
-def relax_plan(in_arcs: Sequence[tuple[np.ndarray, np.ndarray]], origin: int) -> RelaxPlan:
-    """The plan that relaxes ``in_arcs`` from ``origin``: ``in_arcs[v]`` holds
-    (from-nodes, edge indices) of the arcs into v."""
-    succ: list[list[int]] = [[] for _ in in_arcs]
-    for v, (frm, _) in enumerate(in_arcs):
-        for u in frm.tolist():
+def relax_plan(
+    arcs: Iterable[tuple[int, int, int]], nodes: int, origin: int, groups: Sequence[Sequence[int]]
+) -> RelaxPlan:
+    """The plan that relaxes the (tail, head, edge index) ``arcs`` between
+    nodes 0..nodes-1 from ``origin``, for the minima over ``groups``.
+
+    Only the arcs that can move a group minimum are kept: every arc out of a
+    node that lies in every group drops.  A path that reaches a member
+    through such a node reaches that node first, at a time no later, since
+    fl(a + w) >= a for w >= 0; so a best path to a group can be cut at its
+    first member, and every group minimum keeps its bits.  With no groups
+    there is no minimum to keep, and every arc drops.
+
+    A node's position is its place in ``order``, the nodes the origin
+    reaches over the kept arcs, breadth first, the origin at 0.  For the
+    node at position p, ``ahead[p]`` holds the (tail position, edge index)
+    in-arcs from earlier positions, never empty for p >= 1, since it holds
+    the node's breadth-first parent; ``behind`` maps p to its other in-arcs,
+    when it has any, and ``out[p]`` holds the (head position, edge index)
+    arcs out of it.  Arcs into the origin and from nodes it cannot reach are
+    left out.  A node's in-arcs keep the order of ``arcs``, and ``groups``
+    the order given.
+    """
+    common = set(range(nodes)).intersection(*groups)
+    ins: list[list[tuple[int, int]]] = [[] for _ in range(nodes)]
+    for u, v, e in arcs:
+        if u not in common:
+            ins[v].append((u, e))
+    succ: list[list[int]] = [[] for _ in range(nodes)]
+    for v, tails in enumerate(ins):
+        for u, _ in tails:
             succ[u].append(v)
     rank = {origin: 0}
     order = [origin]
@@ -158,14 +157,14 @@ def relax_plan(in_arcs: Sequence[tuple[np.ndarray, np.ndarray]], origin: int) ->
     behind = {}
     out: list[list[tuple[int, int]]] = [[] for _ in order]
     for p, v in enumerate(order[1:], start=1):
-        frm, eidx = in_arcs[v]
-        arcs = [(rank[u], e) for u, e in zip(frm.tolist(), eidx.tolist()) if u in rank]
-        ahead.append(tuple(arc for arc in arcs if arc[0] < p))
-        if len(ahead[p]) < len(arcs):
-            behind[p] = tuple(arc for arc in arcs if arc[0] >= p)
-        for q, e in arcs:
+        kept = [(rank[u], e) for u, e in ins[v] if u in rank]
+        ahead.append(tuple(arc for arc in kept if arc[0] < p))
+        if len(ahead[p]) < len(kept):
+            behind[p] = tuple(arc for arc in kept if arc[0] >= p)
+        for q, e in kept:
             out[q].append((p, e))
-    return RelaxPlan(len(in_arcs), tuple(order), tuple(ahead), behind, tuple(map(tuple, out)))
+    return RelaxPlan(nodes, tuple(order), tuple(ahead), behind, tuple(map(tuple, out)),
+                     tuple(map(tuple, groups)))
 
 
 def relax(plan: RelaxPlan, weights: np.ndarray) -> np.ndarray:
@@ -225,23 +224,19 @@ def relax(plan: RelaxPlan, weights: np.ndarray) -> np.ndarray:
 
 
 def passage_draw(
-    plan: RelaxPlan,
-    rates: np.ndarray,
-    groups: tuple[tuple[int, ...], ...],
-    rng: np.random.Generator,
-    size: int,
+    plan: RelaxPlan, rates: np.ndarray, rng: np.random.Generator, size: int
 ) -> list[np.ndarray]:
     """Draw and relax one block of ``size`` weight samples, one tile of
-    ``tile_samples`` at a time; per group of nodes return its passage times,
-    the minimum over its members, taken row by row."""
+    ``tile_samples`` at a time; per group of the plan, in plan order, return
+    its passage times, the minimum over its members, taken row by row."""
     # One array holds every group's times: with one array per group, a job
     # of many groups on a small graph ran twice as slow, as the freed
     # arrays went back to the system each block and were faulted in again.
-    mins = np.empty((len(groups), size))
+    mins = np.empty((len(plan.groups), size))
     tile = tile_samples(len(rates), plan.nodes)
     for start in range(0, size, tile):
         dist = relax(plan, exp_weights(rng, min(tile, size - start), rates))
-        for low, (first, *rest) in zip(mins, groups):
+        for low, (first, *rest) in zip(mins, plan.groups):
             low = low[start : start + dist.shape[1]]
             np.copyto(low, dist[first])
             for v in rest:
@@ -266,9 +261,9 @@ def passage_job(
                 f"subset {s}: {samples} of {samples} samples have infinite passage time; "
                 "no member is reachable from the source"
             )
-    groups = tuple(s.ids() for s in subsets)
-    plan = relax_plan(prune_arcs(net.in_arcs, groups), 0)
-    draw = partial(passage_draw, plan, net.rates, groups)
+    arcs = ((u, v, e) for e, (u, v, _) in enumerate(net.edges))
+    plan = relax_plan(arcs, net.node_count + 1, 0, [s.ids() for s in subsets])
+    draw = partial(passage_draw, plan, net.rates)
     return draw, k_max, samples, montecarlo.FPP_BLOCK, montecarlo.STREAM_FPP
 
 

@@ -28,20 +28,18 @@ sampler's draw on the raw box, not on ``LatticeBox.network``, so it stays
 an independent check of that mapping: unit-rate weights, both directions
 of an edge sharing its weight row, relaxed from the origin, and the
 boundary vertices as the one group.  The weight draw covers every box
-edge, but the arcs out of the boundary are pruned once per call, before
-any block is relaxed (``fpp.prune_arcs``): a path reaches the boundary
-before it can use one, and fl(a + w) >= a, so they never lower the boundary
-minimum.  The relaxation plan (``fpp.relax_plan``), built once beside the
-pruning, drops the arcs into the origin as well.  On a radius-2 box what is
-left points away from the origin, so the one pass in breadth-first order is
-exact and the worklist after it stays empty.  A deeper box keeps the arcs
-that lead back toward the origin, and the worklist reads them only where a
-tail row dropped.  Each block is drawn and relaxed one tile at a time
-(``fpp.tile_samples``: 2048 samples on the d = 8, l = 2 box and on every
-box with more rows), so a block's working set is one tile's weights and
-distances, not the block's.  ``montecarlo.sample_moments`` reduces every
-block's power sums in block order, as for the other two samplers, and with
-workers > 1 runs the blocks on threads that share the box's plan.
+edge, but the relaxation plan (``fpp.relax_plan``), built once per call,
+leaves out the arcs out of the boundary and into the origin.  On a
+radius-2 box what is left points away from the origin, so the one pass in
+breadth-first order is exact and the worklist after it stays empty.  A
+deeper box keeps the arcs that lead back toward the origin, and the
+worklist reads them only where a tail row dropped.  Each block is drawn
+and relaxed one tile at a time (``fpp.tile_samples``: 2048 samples on the
+d = 8, l = 2 box and on every box with more rows), so a block's working
+set is one tile's weights and distances, not the block's.
+``montecarlo.sample_moments`` reduces every block's power sums in block
+order, as for the other two samplers, and with workers > 1 runs the blocks
+on threads that share the box's plan.
 """
 
 from __future__ import annotations
@@ -53,10 +51,10 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from . import montecarlo
-from .fpp import passage_draw, prune_arcs, relax_plan
+from .fpp import passage_draw, relax_plan
 from .moments import MomentSolver
 from .montecarlo import MomentEstimate
-from .network import Edge, GossipNetwork, NodeSubset, group_in_arcs
+from .network import Edge, GossipNetwork, NodeSubset
 
 # An l1 ball has an odd number of points, so an accepted interior has at most
 # 21 vertices, and the at most 2^20 clusters grown from a vertex fit
@@ -91,13 +89,6 @@ class LatticeBox:
     @cached_property
     def origin(self) -> int:
         return self.index[(0,) * self.d]
-
-    @cached_property
-    def in_arcs(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """Per vertex: (neighbour indices, edge indices), both directions of
-        every undirected edge sharing one weight slot."""
-        arcs = (arc for e, (i, j) in enumerate(self.edges) for arc in ((j, i, e), (i, j, e)))
-        return group_in_arcs(len(self.vertices), arcs)
 
     @cached_property
     def network(self) -> GossipNetwork:
@@ -203,9 +194,10 @@ def mc_boundary_passage(
 ) -> MomentEstimate:
     """Monte-Carlo mean passage time from the origin to the box boundary."""
     box = build_box(d, ell)
-    groups = (tuple(i for i, b in enumerate(box.boundary) if b),)
-    plan = relax_plan(prune_arcs(box.in_arcs, groups), box.origin)
-    draw = partial(passage_draw, plan, np.ones(len(box.edges)), groups)
+    arcs = (arc for e, (i, j) in enumerate(box.edges) for arc in ((j, i, e), (i, j, e)))
+    boundary = tuple(i for i, b in enumerate(box.boundary) if b)
+    plan = relax_plan(arcs, len(box.vertices), box.origin, [boundary])
+    draw = partial(passage_draw, plan, np.ones(len(box.edges)))
     job = (draw, 1, samples, montecarlo.FPP_BLOCK, montecarlo.STREAM_LATTICE)
     [[(_, estimates)]] = montecarlo.sample_moments([job], seed, workers)
     return estimates[0]

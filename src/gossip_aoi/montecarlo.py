@@ -21,7 +21,7 @@ With workers > 1 the blocks run on threads of one process.  That cannot
 change a bit either: a block draws only from its own Generator, allocates
 its own arrays, and only reads what the job shares, which is built before
 any block starts and never written after (the first-passage relaxation
-plan, the rates, the groups, the network and its cached rate tables).  The
+plan with its groups, the rates, the network and its cached rate tables).  The
 threads overlap because numpy releases the GIL inside its array calls; the
 first-passage tiles (``fpp.tile_samples``) are sized so that each call has
 enough work to overlap.
@@ -83,6 +83,8 @@ def check_order(k_max: int) -> int:
 
 
 def check_workers(workers: int) -> None:
+    if not isinstance(workers, int) or isinstance(workers, bool):
+        raise ValueError(f"worker count must be an integer, got {workers!r}")
     if workers < 1:
         raise ValueError(f"worker count must be positive, got {workers}")
 

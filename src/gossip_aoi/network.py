@@ -80,20 +80,6 @@ def as_subset(subset: NodeSubset | Iterable[int]) -> NodeSubset:
     return NodeSubset.of(subset)
 
 
-def group_in_arcs(
-    nodes: int, arcs: Iterable[tuple[int, int, int]]
-) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """``fpp.relax``'s input from (from, to, edge index) arcs: per node
-    0..nodes-1, (from-nodes, edge indices) of its in-arcs in arc order."""
-    ins: list[list[tuple[int, int]]] = [[] for _ in range(nodes)]
-    for u, v, e in arcs:
-        ins[v].append((u, e))
-    return tuple(
-        (np.array([u for u, _ in lst], dtype=np.int64), np.array([e for _, e in lst], dtype=np.int64))
-        for lst in ins
-    )
-
-
 @dataclass(frozen=True)
 class GossipNetwork:
     """A validated gossip network.
@@ -116,7 +102,11 @@ class GossipNetwork:
             )
         merged: dict[tuple[int, int], float] = {}
         for edge in self.edges:
-            u, v, rate = int(edge[0]), int(edge[1]), float(edge[2])
+            u, v = int(edge[0]), int(edge[1])
+            try:
+                rate = float(edge[2])
+            except OverflowError as exc:   # an integer beyond the float range
+                raise NetworkConfigError(f"edge ({u}, {v}): rate is too large for a float") from exc
             if v == 0:
                 raise NetworkConfigError(f"edge ({u}, {v}): edges into the source are not allowed")
             if u == v:
@@ -139,12 +129,6 @@ class GossipNetwork:
         for idx, (u, v, rate) in enumerate(self.edges):
             out[u].append((v, idx, rate))
         return tuple(tuple(lst) for lst in out)
-
-    @cached_property
-    def in_arcs(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """Per node: (array of from-nodes, array of edge indices) for its in-edges."""
-        arcs = ((u, v, idx) for idx, (u, v, _) in enumerate(self.edges))
-        return group_in_arcs(self.node_count + 1, arcs)
 
     @cached_property
     def rates(self) -> np.ndarray:
@@ -224,6 +208,6 @@ def load_network(document: str) -> GossipNetwork:
             raise NetworkConfigError(f"edge #{i}: node ids must be integers, got ({u!r}, {v!r})")
         if not isinstance(rate, (int, float)) or isinstance(rate, bool):
             raise NetworkConfigError(f"edge ({u}, {v}): rate must be a number, got {rate!r}")
-        edges.append(Edge(u, v, float(rate)))
+        edges.append(Edge(u, v, rate))
     return GossipNetwork(node_count=nodes, edges=tuple(edges))
 

@@ -161,14 +161,31 @@ def first_passage_time(
     return math.inf
 
 
+def network_arcs(net: GossipNetwork) -> list[tuple[int, int, int]]:
+    """(from, to, edge index) arcs of the network's edges."""
+    return [(u, v, e) for e, (u, v, _) in enumerate(net.edges)]
+
+
+def box_arcs(box: LatticeBox) -> list[tuple[int, int, int]]:
+    """(from, to, edge index) arcs of the box: both directions of every
+    edge, sharing its edge index."""
+    return [arc for e, (i, j) in enumerate(box.edges) for arc in ((j, i, e), (i, j, e))]
+
+
 def sample_major_distances(
-    in_arcs: Sequence[tuple[np.ndarray, np.ndarray]], weights: np.ndarray, origin: int
+    arcs: Iterable[tuple[int, int, int]], nodes: int, weights: np.ndarray, origin: int
 ) -> np.ndarray:
-    """Reference relaxation on a (samples, edges) weight matrix, giving
-    (samples, nodes) distances: Gauss-Seidel sweeps in node order, each
-    node update gathering its in-arc columns."""
+    """Reference relaxation of the (from, to, edge index) ``arcs`` on a
+    (samples, edges) weight matrix, giving (samples, nodes) distances:
+    Gauss-Seidel sweeps in node order, each node update gathering the
+    columns of its in-arcs, grouped per node in arc order."""
+    ins: list[list[tuple[int, int]]] = [[] for _ in range(nodes)]
+    for u, v, e in arcs:
+        ins[v].append((u, e))
+    in_arcs = [(np.array([u for u, _ in lst], dtype=np.int64),
+                np.array([e for _, e in lst], dtype=np.int64)) for lst in ins]
     samples = weights.shape[0]
-    dist = np.full((samples, len(in_arcs)), np.inf)
+    dist = np.full((samples, nodes), np.inf)
     dist[:, origin] = 0.0
     changed = True
     while changed:
@@ -340,12 +357,14 @@ def cluster_arcs(box: LatticeBox) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Per interior position: (interior positions of its interior
     neighbours, count of its boundary neighbours)."""
     pos = {v: p for p, v in enumerate(box.interior)}
+    neighbours: list[list[int]] = [[] for _ in box.vertices]
+    for u, v, _ in box_arcs(box):
+        neighbours[v].append(u)
     out = []
     for i in box.interior:
         interior_nbs = []
         boundary_deg = 0
-        frm, _ = box.in_arcs[i]
-        for j in frm.tolist():
+        for j in neighbours[i]:
             if box.boundary[j]:
                 boundary_deg += 1
             else:

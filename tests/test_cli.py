@@ -137,6 +137,28 @@ def test_missing_network_file_is_a_config_error(capsys, tmp_path):
     assert "cannot read" in capsys.readouterr().err
 
 
+def _assert_one_write_error_line(err, path):
+    assert err.startswith("gossip-aoi: error: cannot write output: ")
+    assert f"No such file or directory: '{path}'" in err
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_an_unwritable_report_is_an_error_not_a_failed_check(capsys, line_path, tmp_path):
+    out = tmp_path / "missing" / "report.json"
+    code = cli.main(["compare", "--network", line_path, "--subset", "2", "--samples", "2000",
+                     "--replicas", "500", "--out", str(out)])
+    assert code == 2
+    _assert_one_write_error_line(capsys.readouterr().err, out)
+
+
+def test_an_unwritable_trace_is_an_error(capsys, line_path, tmp_path):
+    trace = tmp_path / "missing" / "events.csv"
+    code = cli.main(["simulate", "--network", line_path, "--subset", "2", "--mode", "timeavg",
+                     "--horizon", "50", "--burn-in", "5", "--trace", str(trace)])
+    assert code == 2
+    _assert_one_write_error_line(capsys.readouterr().err, trace)
+
+
 def test_fpp_reports_estimates(capsys, line_path):
     code, doc = run_json(capsys, ["fpp", "--network", line_path, "--subset", "2",
                                   "--k", "2", "--samples", "20000", "--seed", "5"])

@@ -17,14 +17,15 @@ from gossip_aoi import (
     montecarlo,
     solve_moments,
 )
-from gossip_aoi.fpp import exp_weights, passage_draw, prune_arcs, relax, relax_plan, tile_samples
-from gossip_aoi.network import group_in_arcs
+from gossip_aoi.fpp import exp_weights, passage_draw, relax, relax_plan, tile_samples
 from helpers import (
     WeightSample,
     all_subsets,
+    box_arcs,
     brute_force_passage,
     first_passage_time,
     line_network,
+    network_arcs,
     random_network,
     sample_major_distances,
     sample_weights,
@@ -170,7 +171,7 @@ def test_batch_distances_equal_scalar_shortest_paths():
         n = int(rng.integers(2, 7))
         net = random_network(rng, n, p=0.4)
         weights = np.array([sample_weights(net, rng).weights for _ in range(50)])
-        dist = relax(relax_plan(net.in_arcs, 0), weights.T.copy()).T
+        dist = relax(_full_plan(network_arcs(net), n + 1, 0), weights.T.copy()).T
         for i in range(len(weights)):
             sample = WeightSample(weights[i])
             for v in range(1, n + 1):
@@ -192,10 +193,16 @@ def _row_major_weights(rng, samples, rates):
     return -np.log1p(-rng.random((samples, len(rates)))) / rates
 
 
-def _assert_relax_matches_reference(in_arcs, weights, origin):
-    expected = sample_major_distances(in_arcs, weights, origin)
-    dist = relax(relax_plan(in_arcs, origin), np.ascontiguousarray(weights.T))
-    assert dist.shape == (len(in_arcs), len(weights))
+def _full_plan(arcs, nodes, origin):
+    """A plan that keeps every arc: each node is a group of its own, so no
+    node lies in every group."""
+    return relax_plan(arcs, nodes, origin, [(v,) for v in range(nodes)])
+
+
+def _assert_relax_matches_reference(arcs, nodes, weights, origin):
+    expected = sample_major_distances(arcs, nodes, weights, origin)
+    dist = relax(_full_plan(arcs, nodes, origin), np.ascontiguousarray(weights.T))
+    assert dist.shape == (nodes, len(weights))
     assert dist.flags.c_contiguous
     assert np.array_equal(dist, expected.T)
     return dist
@@ -208,7 +215,7 @@ def test_relax_equals_the_sample_major_reference_on_random_networks():
         net = random_network(rng, int(rng.integers(2, 10)), p=0.25)
         for samples in (1, 257):
             weights = _row_major_weights(rng, samples, net.rates)
-            dist = _assert_relax_matches_reference(net.in_arcs, weights, 0)
+            dist = _assert_relax_matches_reference(network_arcs(net), net.node_count + 1, weights, 0)
             unreachable_rows += int(np.isinf(dist).all(axis=1).sum())
     assert unreachable_rows > 0
 
@@ -219,10 +226,11 @@ def test_relax_equals_the_sample_major_reference_on_dense_networks():
     backward = 0
     for _ in range(6):
         net = random_network(rng, int(rng.integers(8, 13)), p=0.8, reachable=True)
-        backward += sum(map(len, relax_plan(net.in_arcs, 0).behind.values()))
+        arcs, nodes = network_arcs(net), net.node_count + 1
+        backward += sum(map(len, _full_plan(arcs, nodes, 0).behind.values()))
         for samples in (1, 257):
             weights = _row_major_weights(rng, samples, net.rates)
-            _assert_relax_matches_reference(net.in_arcs, weights, 0)
+            _assert_relax_matches_reference(arcs, nodes, weights, 0)
     assert backward > 100
 
 
@@ -232,10 +240,11 @@ def test_relax_equals_the_sample_major_reference_on_lattice_boxes():
     rng = np.random.default_rng(40)
     for d, ell in ((1, 3), (2, 2), (3, 2), (4, 2), (2, 8), (3, 4)):
         box = build_box(d, ell)
-        assert len(relax_plan(box.in_arcs, box.origin).behind) == len(box.interior) - 1
+        arcs, nodes = box_arcs(box), len(box.vertices)
+        assert len(_full_plan(arcs, nodes, box.origin).behind) == len(box.interior) - 1
         for samples in (1, 257):
             weights = _row_major_weights(rng, samples, np.ones(len(box.edges)))
-            _assert_relax_matches_reference(box.in_arcs, weights, box.origin)
+            _assert_relax_matches_reference(arcs, nodes, weights, box.origin)
 
 
 # Breadth first from 0 the order is 0, 1, 2, 3, 5, 4, and the forward pass
@@ -247,8 +256,7 @@ LATE_WEIGHTS = [10.0, 10.0, 1.0, 1.0, 1.0, 1.0, 1.0]
 
 
 def test_a_node_that_improves_after_its_successors_moves_them():
-    in_arcs = _arcs(6, LATE_ARCS)
-    plan = relax_plan(in_arcs, 0)
+    plan = _full_plan(_arcs(LATE_ARCS), 6, 0)
     assert plan.order == (0, 1, 2, 3, 5, 4)
     dist = relax(plan, np.array(LATE_WEIGHTS)[:, None])
     assert dist[:, 0].tolist() == [0.0, 4.0, 3.0, 1.0, 2.0, 5.0]
@@ -263,11 +271,11 @@ def test_tiles_fill_tile_bytes_but_never_drop_below_tile():
 def test_one_block_is_relaxed_in_bounded_memory():
     box = build_box(8, 2)
     groups = (tuple(i for i, b in enumerate(box.boundary) if b),)
-    plan = relax_plan(prune_arcs(box.in_arcs, groups), box.origin)
+    plan = relax_plan(box_arcs(box), len(box.vertices), box.origin, groups)
     rates = np.ones(len(box.edges))
     tracemalloc.start()
     try:
-        passage_draw(plan, rates, groups, np.random.default_rng(49), montecarlo.FPP_BLOCK)
+        passage_draw(plan, rates, np.random.default_rng(49), montecarlo.FPP_BLOCK)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -289,11 +297,11 @@ def _group_minima(dist, groups):
     return [dist[:, list(ids)].min(axis=1) for ids in groups]
 
 
-def _assert_pruned_minima_equal_the_full_graphs(in_arcs, rates, origin, groups, rng, samples):
+def _assert_pruned_minima_equal_the_full_graphs(arcs, nodes, rates, origin, groups, rng, samples):
     weights = _row_major_weights(rng, samples, rates)
-    plan = relax_plan(prune_arcs(in_arcs, groups), origin)
+    plan = relax_plan(arcs, nodes, origin, groups)
     pruned = relax(plan, np.ascontiguousarray(weights.T))
-    full = sample_major_distances(in_arcs, weights, origin)
+    full = sample_major_distances(arcs, nodes, weights, origin)
     for got, expected in zip(_group_minima(pruned.T, groups), _group_minima(full, groups)):
         assert np.array_equal(got, expected)
 
@@ -312,21 +320,44 @@ def test_pruned_group_minima_equal_the_full_graphs_on_random_networks():
             groups.append(tuple(sorted({shared, *some.tolist()})))
         if lost:
             groups[-1] = tuple(sorted({*groups[-1], lost[0]}))
-        _assert_pruned_minima_equal_the_full_graphs(net.in_arcs, net.rates, 0, groups, rng, 257)
+        _assert_pruned_minima_equal_the_full_graphs(
+            network_arcs(net), n + 1, net.rates, 0, groups, rng, 257
+        )
         several += len(groups) > 1
         with_lost += bool(lost)
     assert several > 0 and with_lost > 0
 
 
 def test_pruning_keeps_nodes_outside_some_group():
-    # 1 lies in both groups and 2 in one: only the arcs out of 1 drop.
+    # 1 lies in both groups and 2 in one: only the arc out of 1 drops.  From
+    # 0 the plan reaches 1 and 3 but not 2; from 2 it keeps 2 -> 3, and from
+    # 1 it has no arc.
     edges = (Edge(0, 1, 1.0), Edge(1, 2, 1.0), Edge(2, 3, 1.0), Edge(0, 3, 1.0))
     net = GossipNetwork(node_count=3, edges=edges)
-    pruned = prune_arcs(net.in_arcs, [(1, 2), (1, 3)])
-    assert [frm.tolist() for frm, _ in pruned] == [[], [0], [], [0, 2]]
-    assert [frm.tolist() for frm, _ in prune_arcs(net.in_arcs, [])] == [[], [], [], []]
+    arcs = network_arcs(net)
+    plan = relax_plan(arcs, 4, 0, [(1, 2), (1, 3)])
+    # Edge indices follow the sorted edges: 0 -> 1, 0 -> 3, 1 -> 2, 2 -> 3.
+    assert (plan.order, plan.ahead, plan.behind) == ((0, 1, 3), ((), ((0, 0),), ((0, 1),)), {})
+    assert relax_plan(arcs, 4, 2, [(1, 2), (1, 3)]).ahead == ((), ((0, 3),))
+    assert relax_plan(arcs, 4, 1, [(1, 2), (1, 3)]).order == (1,)
+    # With no groups every arc drops.
+    empty = relax_plan(arcs, 4, 0, [])
+    assert (empty.order, empty.groups) == ((0,), ())
     rng = np.random.default_rng(45)
-    assert passage_draw(relax_plan(prune_arcs(net.in_arcs, []), 0), net.rates, (), rng, 5) == []
+    assert passage_draw(empty, net.rates, rng, 5) == []
+
+
+def test_a_draw_returns_one_array_per_plan_group_in_plan_order():
+    net = line_network(1.0, 2.0, 0.5)
+    arcs, groups = network_arcs(net), [(3,), (1,), (2, 3)]
+    plan = relax_plan(arcs, 4, 0, groups)
+    assert plan.groups == ((3,), (1,), (2, 3))
+    times = passage_draw(plan, net.rates, np.random.default_rng(50), 300)
+    weights = _row_major_weights(np.random.default_rng(50), 300, net.rates)
+    expected = _group_minima(sample_major_distances(arcs, 4, weights, 0), groups)
+    assert len(times) == len(groups)
+    for got, want in zip(times, expected):
+        assert np.array_equal(got, want)
 
 
 def test_pruned_group_minima_equal_the_full_graphs_on_lattice_boxes():
@@ -336,30 +367,31 @@ def test_pruned_group_minima_equal_the_full_graphs_on_lattice_boxes():
         box = build_box(d, ell)
         groups = (tuple(i for i, b in enumerate(box.boundary) if b),)
         _assert_pruned_minima_equal_the_full_graphs(
-            box.in_arcs, np.ones(len(box.edges)), box.origin, groups, rng, 65
+            box_arcs(box), len(box.vertices), np.ones(len(box.edges)), box.origin, groups, rng, 65
         )
 
 
-def _arcs(nodes, pairs):
-    return group_in_arcs(nodes, ((u, v, e) for e, (u, v) in enumerate(pairs)))
+def _arcs(pairs):
+    return [(u, v, e) for e, (u, v) in enumerate(pairs)]
 
 
+# Per case: (arcs, nodes, origin).
 NUMBERED_AGAINST_THE_ARCS = {
-    "backward-line": (_arcs(5, [(4, 3), (3, 2), (2, 1), (1, 0)]), 4),
+    "backward-line": (_arcs([(4, 3), (3, 2), (2, 1), (1, 0)]), 5, 4),
     # a DAG whose arc 2 -> 1 points backward in breadth-first order
-    "dag": (_arcs(6, [(5, 1), (5, 2), (2, 1), (1, 0), (2, 0), (0, 3), (1, 3)]), 5),
+    "dag": (_arcs([(5, 1), (5, 2), (2, 1), (1, 0), (2, 0), (0, 3), (1, 3)]), 6, 5),
     # the cycle 1 -> 0 -> 2 -> 1, entered at 1 and at 2
-    "cycle": (_arcs(4, [(3, 2), (3, 1), (1, 0), (0, 2), (2, 1)]), 3),
-    "origin-with-in-arcs": (_arcs(3, [(2, 0), (0, 2), (1, 2), (2, 1), (0, 1), (1, 0)]), 2),
+    "cycle": (_arcs([(3, 2), (3, 1), (1, 0), (0, 2), (2, 1)]), 4, 3),
+    "origin-with-in-arcs": (_arcs([(2, 0), (0, 2), (1, 2), (2, 1), (0, 1), (1, 0)]), 3, 2),
     # 4 and 3 are unreachable, and 3 has an arc into a reachable node
-    "unreachable": (_arcs(5, [(4, 3), (3, 1), (2, 1), (1, 0), (0, 2)]), 2),
+    "unreachable": (_arcs([(4, 3), (3, 1), (2, 1), (1, 0), (0, 2)]), 5, 2),
 }
 
 
 @pytest.mark.parametrize("case", NUMBERED_AGAINST_THE_ARCS)
 def test_relax_is_exact_whatever_the_node_numbering(case):
-    in_arcs, origin = NUMBERED_AGAINST_THE_ARCS[case]
+    arcs, nodes, origin = NUMBERED_AGAINST_THE_ARCS[case]
     rng = np.random.default_rng(47)
-    rates = rng.uniform(0.2, 5.0, size=sum(len(frm) for frm, _ in in_arcs))
+    rates = rng.uniform(0.2, 5.0, size=len(arcs))
     for samples in (1, 257):
-        _assert_relax_matches_reference(in_arcs, _row_major_weights(rng, samples, rates), origin)
+        _assert_relax_matches_reference(arcs, nodes, _row_major_weights(rng, samples, rates), origin)

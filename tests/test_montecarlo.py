@@ -70,6 +70,9 @@ def _square(block: int) -> int:
 def test_map_blocks_preserves_order():
     assert map_blocks(_square, 5, workers=1) == [0, 1, 4, 9, 16]
     assert map_blocks(_square, 5, workers=2) == [0, 1, 4, 9, 16]
+    for bad in (True, 2.5, "2"):
+        with pytest.raises(ValueError, match="worker count must be an integer"):
+            map_blocks(_square, 3, bad)
 
 
 def test_map_blocks_runs_closures_on_threads_in_index_order():
