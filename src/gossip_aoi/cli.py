@@ -124,6 +124,10 @@ def _emit_estimates(config: dict[str, Any], results: dict[str, Any],
 
 
 def _z_score(reference: float, estimate: MomentEstimate) -> float:
+    """The estimate's distance from ``reference`` in standard errors; nan,
+    which fails every threshold, when the standard error is not finite."""
+    if not math.isfinite(estimate.std_error):
+        return math.nan
     if estimate.std_error > 0:
         return (estimate.mean - reference) / estimate.std_error
     return 0.0 if estimate.mean == reference else math.inf
@@ -304,8 +308,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         if getattr(args, "workers", None) is None:
             args.workers = _default_workers()
         check_workers(args.workers)
+        for path in (args.out, getattr(args, "trace", None)):
+            if path is not None:
+                reporting.check_writable(path)
         code = _HANDLERS[args.command](args)
-    except (NetworkConfigError, ValueError, RuntimeError) as exc:
+    except (NetworkConfigError, ValueError, RuntimeError, OverflowError) as exc:
         print(f"{TOOL_NAME}: error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:   # _load reports an unreadable input, so this is an output

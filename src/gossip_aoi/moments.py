@@ -24,6 +24,24 @@ memo: a closure is what a memo would hold, and a numpy layer costs far less
 per state than a Python recursion step.  Each row adds its boundary edges
 in canonical edge order, left to right from 0.0, so both queries agree bit
 for bit with the memoized recursion that the tests keep as the reference.
+
+Three steps do less work than the obvious numpy call, each without moving a
+bit.  The closure's dedupe (``_unique_runs``) replaces ``np.unique`` with a
+stable argsort: a layer's boundary pairs come as one run per edge, each
+strictly increasing (rows ascend and bit u is absent from every state), so
+timsort merges the runs instead of sorting them again, and the distinct
+values and the inverse index are whatever the input makes them, however
+found.  The pairs (``MomentSolver._scan``) come from one flat ``flatnonzero``
+over the edge-major boundary mask, cut into edges by ``searchsorted``: the
+same pairs in the same order as a 2-D ``np.nonzero``, carried as a per-edge
+count instead of a per-pair edge index.  And lambda_0(S) adds r * [v in S]
+over the source edges in canonical order from 0.0, as ``np.bincount`` over
+the source pairs did: a term is r or +0.0, and x + 0.0 == x for x >= +0.0.
+
+A subset with a member the source reaches has finite moments, so a
+non-finite value there is a float overflow (rates far below 1, say) and
+raises ``OverflowError`` naming the subset and the order; +inf keeps its one
+meaning, that no information ever arrives.
 """
 
 from __future__ import annotations
@@ -154,11 +172,9 @@ class MomentSolver:
         # Bit v - 1 of a state stands for node v, so 62 nodes fit in int64.
         # Direct source edges feed lambda_0(S), the rest are boundary
         # candidates; canonical edge order fixes the summation order.
-        src = [(v - 1, rate) for u, v, rate in net.edges if u == 0]
+        self._src = [(v - 1, rate) for u, v, rate in net.edges if u == 0]
         inner = [(u - 1, v - 1, rate) for u, v, rate in net.edges if u != 0]
-        self._bits = np.arange(net.node_count, dtype=np.int64)[:, None]
-        self._src_nodes = np.array([v for v, _ in src], dtype=np.intp)
-        self._src_rates = np.array([r for _, r in src], dtype=float)
+        self._node_bits = np.left_shift(1, np.arange(net.node_count), dtype=np.int64)[:, None]
         self._u_nodes = np.array([u for u, _, _ in inner], dtype=np.intp)
         self._v_nodes = np.array([v for _, v, _ in inner], dtype=np.intp)
         self._u_bits = np.left_shift(1, self._u_nodes, dtype=np.int64)
@@ -174,8 +190,8 @@ class MomentSolver:
 
         Builds the closure forward, one layer at a time: the next layer is
         the set of S+e over the boundary pairs (S, e) of the current one, and
-        the inverse index of that ``np.unique`` is every pair's row in it.
-        Then runs the layer step back down to the subset.
+        the inverse index of that dedupe (:func:`_unique_runs`) is every
+        pair's row in it.  Then runs the layer step back down to the subset.
         """
         s = self.net.check_subset(subset)
         layers = [np.array([s.mask >> 1], dtype=np.int64)]
@@ -186,16 +202,18 @@ class MomentSolver:
             states += layer.size
             if states > self.memo_limit:
                 raise _memo_limit_error(self.memo_limit)
-            edge, row = self._boundary(layer)
-            above, inverse = np.unique(layer[row] | self._u_bits[edge], return_inverse=True)
-            # Kept until the way back, so as int32: edges number under 62^2,
-            # rows index a layer that passed the memo_limit check, and an
-            # inverse is used only once its layer has passed it too.
-            links.append((edge.astype(np.int32), row.astype(np.int32), inverse.astype(np.int32)))
+            counts, row, lam0 = self._scan(layer)
+            above, inverse = _unique_runs(layer[row] | np.repeat(self._u_bits, counts))
+            # Kept until the way back, so as int32: rows index a layer that
+            # passed the memo_limit check, and an inverse is used only once
+            # its layer has passed it too.
+            links.append((counts, row.astype(np.int32), lam0, inverse.astype(np.int32)))
+            del row, inverse
             layers.append(above)
         vec = np.empty((0, self.k_max + 1))
-        for layer, (edge, row, inverse) in zip(layers[-2::-1], links[::-1]):
-            vec = self._layer(layer, edge, row, vec, inverse)
+        for layer, (counts, row, lam0, inverse) in zip(layers[-2::-1], links[::-1]):
+            vec = self._layer(layer, counts, row, lam0, vec, inverse)
+        self._check_finite(layers[0], vec[:, 1:])
         return tuple(vec[0].tolist())
 
     def solve_all(self) -> MomentTable:
@@ -222,33 +240,47 @@ class MomentSolver:
             layer = np.flatnonzero(popcount == count)
             for start in range(0, layer.size, TABLE_CHUNK):
                 part = layer[start:start + TABLE_CHUNK]
-                edge, row = self._boundary(part)
-                table[part] = self._layer(part, edge, row, table, part[row] | self._u_bits[edge])
+                counts, row, lam0 = self._scan(part)
+                above_rows = part[row] | np.repeat(self._u_bits, counts)
+                table[part] = self._layer(part, counts, row, lam0, table, above_rows)
         entries = table[1:, 1:]
+        self._check_finite(states[1:], entries)
         entries.flags.writeable = False
         return MomentTable(k_max=self.k_max, entries=entries)
 
-    def _boundary(self, layer: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(edge, row) index pairs of the boundary edges of a layer's states.
+    def _scan(self, layer: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(counts, row, lam0): a layer's boundary pairs and source rates.
 
-        Edge-major, so every row meets its edges in canonical edge order.
+        The pairs are edge-major: ``counts[e]`` pairs of inner edge e, their
+        rows ascending, so every row meets its edges in canonical edge
+        order.  ``lam0`` adds each row's source edges in canonical order
+        from 0.0.
         """
-        member = ((layer >> self._bits) & 1).astype(bool)
-        return np.nonzero(member[self._v_nodes] > member[self._u_nodes])
+        size = layer.size
+        member = (layer & self._node_bits) != 0
+        lam0 = np.zeros(size)
+        for node, rate in self._src:
+            lam0 += member[node] * rate
+        flat = np.flatnonzero(member[self._v_nodes] > member[self._u_nodes])
+        offsets = np.arange(self._rates.size + 1) * size   # edge e's pairs start at e * size
+        counts = np.diff(np.searchsorted(flat, offsets))
+        return counts, flat - np.repeat(offsets[:-1], counts), lam0
 
-    def _layer(self, layer: np.ndarray, edge: np.ndarray, row: np.ndarray,
+    def _layer(self, layer: np.ndarray, counts: np.ndarray, row: np.ndarray, lam0: np.ndarray,
                above: np.ndarray, above_rows: np.ndarray) -> np.ndarray:
         """The layer step: moment vectors of one layer's states.
 
-        Pair i is boundary edge ``edge[i]`` of state ``layer[row[i]]``, whose
-        superset's vector is ``above[above_rows[i]]``.  ``np.bincount`` adds
-        each row's terms from 0.0 in pair order.  Only real pairs are summed,
-        so a superset at +inf never meets a 0 weight (0 * inf would be nan).
+        Pair i is a boundary edge of state ``layer[row[i]]``, the pairs of
+        :meth:`_scan`, whose superset's vector is ``above[above_rows[i]]``.
+        ``np.bincount`` adds each row's terms from 0.0 in pair order.  Only
+        real pairs are summed, so a superset at +inf never meets a 0 weight
+        (0 * inf would be nan).
         """
         size = layer.size
-        rate = self._rates[edge]
-        src_edge, src_row = np.nonzero((layer >> self._bits[self._src_nodes]) & 1)
-        lam0 = np.bincount(src_row, self._src_rates[src_edge], size)
+        # Indexing with the int32 links would cast them on every use.
+        row = row.astype(np.intp, copy=False)
+        above_rows = above_rows.astype(np.intp, copy=False)
+        rate = np.repeat(self._rates, counts)
         # Rates are positive, so a zero denominator means no boundary edge
         # and no source edge: such a subset never hears from the source.
         # Elsewhere a subset without boundary edges has pushed == 0.0 and
@@ -257,11 +289,38 @@ class MomentSolver:
         self._zero_rate.update((layer[denom == 0.0] << 1).tolist())
         vec = np.empty((size, self.k_max + 1))
         vec[:, 0] = 1.0
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):
             for k in range(1, self.k_max + 1):
-                pushed = np.bincount(row, rate * above[above_rows, k], size)
+                pushed = np.bincount(row, rate * above[:, k][above_rows], size)
                 vec[:, k] = (k * vec[:, k - 1] + pushed) / denom
         return vec
+
+    def _check_finite(self, states: np.ndarray, vectors: np.ndarray) -> None:
+        """Raise ``OverflowError`` where a subset with a member the source
+        reaches has a non-finite moment: such a subset's moments are finite,
+        so that value ran out of float range.  ``vectors[i]`` holds v^1.. of
+        ``states[i]``."""
+        bad = ~np.isfinite(vectors) & ((states & self.net.reachable >> 1) != 0)[:, None]
+        if bad.any():
+            row, k = np.argwhere(bad)[0]
+            raise OverflowError(
+                f"moment v^{k + 1} of subset {NodeSubset(int(states[row]) << 1)} overflows a "
+                "float, though the source reaches the subset; rescale the rates"
+            )
+
+
+def _unique_runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(values, return_inverse=True)`` by a stable sort, which
+    merges the sorted runs of ``values`` rather than sorting them again."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    first = np.empty(ordered.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    inverse = np.empty_like(order)
+    inverse[order] = np.repeat(np.arange(starts.size), np.diff(starts, append=ordered.size))
+    return ordered[starts], inverse
 
 
 def solve_moments(

@@ -15,8 +15,10 @@ formats so documents survive strict JSON parsers.
 from __future__ import annotations
 
 import csv
+import errno
 import json
 import math
+import os
 import re
 import sys
 from itertools import chain, islice, tee
@@ -104,6 +106,17 @@ def write_text(pieces: Iterable[str], out: str | None) -> None:
     else:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.writelines(pieces)
+
+
+def check_writable(path: str) -> None:
+    """Raise the ``OSError`` that opening ``path`` to write it would give
+    when its directory is missing or not writable, and touch no file, so a
+    command can refuse its output path before it does any work."""
+    directory = os.path.dirname(path) or "."
+    if not os.path.isdir(directory):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+    if not os.access(directory, os.W_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
 
 
 def record_columns(rows: Sequence[Mapping[str, Any]], keys: Sequence[str]) -> list[list[Any]]:

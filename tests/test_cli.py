@@ -159,6 +159,75 @@ def test_an_unwritable_trace_is_an_error(capsys, line_path, tmp_path):
     _assert_one_write_error_line(capsys.readouterr().err, trace)
 
 
+@pytest.mark.parametrize("argv", [
+    ["compare", "--subset", "2", "--samples", "2000", "--replicas", "500"],
+    ["simulate", "--subset", "2", "--replicas", "500"],
+    ["simulate", "--subset", "2", "--mode", "timeavg", "--horizon", "50"],
+    ["fpp", "--subset", "2", "--samples", "2000"],
+    ["solve", "--subset", "2"],
+    ["solve"],
+    ["lattice", "--d", "2", "--ell", "2", "--samples", "2000"],
+], ids=["compare", "replication", "timeavg", "fpp", "solve", "table", "lattice"])
+def test_an_unwritable_report_is_refused_before_any_work(capsys, line_path, tmp_path,
+                                                         monkeypatch, argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the --out check")
+
+    for module, name in ((montecarlo, "sample_moments"), (simulate, "pilot_t0"),
+                         (simulate, "estimate_moments_timeavg"), (moments, "solve_moments"),
+                         (moments.MomentSolver, "solve"), (moments.MomentSolver, "solve_all"),
+                         (lattice, "time_constant_estimate")):
+        monkeypatch.setattr(module, name, refuse)
+    out = tmp_path / "missing" / "report.json"
+    network = [] if argv[0] == "lattice" else ["--network", line_path]
+    assert cli.main([*argv, *network, "--out", str(out)]) == 2
+    _assert_one_write_error_line(capsys.readouterr().err, out)
+    assert not out.parent.exists()
+
+
+def test_a_report_in_a_read_only_directory_is_refused_and_an_old_one_kept(capsys, line_path,
+                                                                          tmp_path, monkeypatch):
+    out = tmp_path / "report.json"
+    out.write_text("kept\n")
+    monkeypatch.setattr(reporting.os, "access", lambda path, mode: False)
+    assert cli.main(["solve", "--network", line_path, "--subset", "2", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"gossip-aoi: error: cannot write output: [Errno 13] Permission denied: '{out}'\n")
+    assert out.read_text() == "kept\n"
+
+
+def test_z_score_of_a_non_finite_standard_error_is_nan():
+    for se in (math.inf, math.nan):
+        assert math.isnan(cli._z_score(1.0, montecarlo.MomentEstimate(1, 1.0, se, 10)))
+    assert cli._z_score(1.0, montecarlo.MomentEstimate(1, 1.0, 0.0, 10)) == 0.0
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
+def test_an_overflowed_standard_error_never_passes(capsys, tmp_path):
+    # In these time units the k = 17 power sums of x^34 overflow, so the FPP
+    # standard error is inf; a z of -0.0 would pass that half of the row.
+    path = tmp_path / "slow.json"
+    path.write_text('{"nodes": 2, "edges": [{"from": 0, "to": 1, "rate": 1e-8}, '
+                    '{"from": 1, "to": 2, "rate": 2e-8}]}')
+    code, doc = run_json(capsys, ["compare", "--network", str(path), "--subset", "2",
+                                  "--k", "17", "--samples", "20000", "--replicas", "2000"])
+    assert code == 1
+    row = doc["results"]["rows"][16]
+    assert row["fpp_se"] == "inf" and row["fpp_z"] == "nan" and row["passed"] is False
+
+
+@pytest.mark.parametrize("subset", [["--subset", "1"], []], ids=["solve", "table"])
+def test_a_solver_overflow_is_an_error_not_inf(capsys, tmp_path, subset):
+    path = tmp_path / "stiff.json"
+    path.write_text('{"nodes": 2, "edges": [{"from": 0, "to": 1, "rate": 1e-200}, '
+                    '{"from": 1, "to": 2, "rate": 1.0}]}')
+    code = cli.main(["solve", "--network", str(path), "--k", "2", *subset])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "gossip-aoi: error: moment v^2 of subset {1} overflows a float, though the source "
+        "reaches the subset; rescale the rates\n")
+
+
 def test_fpp_reports_estimates(capsys, line_path):
     code, doc = run_json(capsys, ["fpp", "--network", line_path, "--subset", "2",
                                   "--k", "2", "--samples", "20000", "--seed", "5"])

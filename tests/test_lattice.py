@@ -234,3 +234,8 @@ def test_mc_deterministic_across_workers():
     three = mc_boundary_passage(2, 2, 70_000, seed=75, workers=3)
     assert one == three
     assert one.sample_count == 70_000
+
+
+def test_the_d8_box_value_keeps_its_bits():
+    # The exact solve's operations and their order fix this value to the bit.
+    assert repr(time_constant_estimate(8, 2)) == "0.11051259394984314"

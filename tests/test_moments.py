@@ -213,3 +213,67 @@ def test_table_renders_infinities(capsys):
     assert json.loads(capsys.readouterr().out)["results"]["table"] == {
         "1": [1.0, 2.0], "2": ["inf", "inf"], "1,2": [1.0, 2.0]
     }
+
+
+@pytest.mark.parametrize("values", [
+    [],
+    [7],
+    [5, 5, 5, 5],
+    # sorted runs, one per edge, as the closure step makes them
+    np.concatenate([np.sort(np.random.default_rng(run).choice(1 << 20, 300, replace=False))
+                    for run in range(12)]),
+    np.random.default_rng(31).integers(0, 500, 2000),
+], ids=["empty", "one", "duplicates", "sorted-runs", "unsorted"])
+def test_unique_runs_is_np_unique(values):
+    values = np.asarray(values, dtype=np.int64)
+    above, inverse = moments._unique_runs(values)
+    expected, expected_inverse = np.unique(values, return_inverse=True)
+    assert above.dtype == np.int64 and np.array_equal(above, expected)
+    assert np.array_equal(inverse, expected_inverse)
+
+
+def test_scan_is_the_nonzero_pair_order_and_the_bincount_source_rate():
+    # The layer step's pairs must come edge-major like a 2-D np.nonzero, and
+    # lambda_0 must keep the bits of a bincount over the source pairs.
+    rng = np.random.default_rng(32)
+    net = random_network(rng, 12, p=0.35, reachable=True)
+    solver = MomentSolver(net, 1)
+    layer = np.sort(rng.choice(1 << 12, 700, replace=False)).astype(np.int64)
+    member = ((layer >> np.arange(12)[:, None]) & 1).astype(bool)
+    edge, row = np.nonzero(member[solver._v_nodes] > member[solver._u_nodes])
+    src = [(v - 1, rate) for u, v, rate in net.edges if u == 0]
+    src_edge, src_row = np.nonzero(member[[v for v, _ in src]])
+    lam0 = np.bincount(src_row, np.array([r for _, r in src])[src_edge], layer.size)
+    counts, scan_row, scan_lam0 = solver._scan(layer)
+    assert np.array_equal(np.repeat(np.arange(len(solver._rates)), counts), edge)
+    assert np.array_equal(scan_row, row)
+    assert scan_lam0.tobytes() == lam0.tobytes()
+
+
+def test_solve_is_the_solve_all_row_bitwise_on_a_larger_network():
+    rng = np.random.default_rng(33)
+    net = random_network(rng, 14, p=0.15, reachable=True)
+    table = MomentSolver(net, 3).solve_all()
+    solver = MomentSolver(net, 3)
+    # The single nodes have the largest closures, about 2^13 states each.
+    singles = [1 << v for v in range(14)]
+    for mask in singles + rng.choice(np.arange(1, 1 << 14), 186, replace=False).tolist():
+        ids = [v + 1 for v in range(14) if mask >> v & 1]
+        assert solver.solve(ids) == table_row(table, ids), ids
+
+
+def test_an_overflowed_moment_is_an_error_and_inf_keeps_its_meaning():
+    # The source reaches node 1 at rate 1e-200, so v^2 of {1} is 2e400: finite,
+    # but past the float range.  The subset {1, 2} is as slow to hear, and
+    # node 3, which no edge reaches, keeps its +inf.
+    net = GossipNetwork(node_count=3, edges=(Edge(0, 1, 1e-200), Edge(1, 2, 1.0)))
+    with pytest.raises(OverflowError, match=r"^moment v\^2 of subset \{1\} overflows a float"):
+        MomentSolver(net, 2).solve([1])
+    with pytest.raises(OverflowError, match=r"v\^2 of subset \{1,3\}"):
+        MomentSolver(net, 2).solve([1, 3])
+    with pytest.raises(OverflowError, match=r"v\^2 of subset \{1\}"):
+        MomentSolver(net, 2).solve_all()
+    assert MomentSolver(net, 1).solve([1, 3]) == (1.0, 1e200)
+    solver = MomentSolver(net, 2)
+    assert solver.solve([3]) == (1.0, math.inf, math.inf)
+    assert [str(s) for s in solver.zero_rate_subsets] == ["{3}"]
