@@ -151,8 +151,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     else:
         table = solver.solve_all()
         header = table.csv_header()
-        # Each payload is a lazy walk over the 2^N - 1 rows in blocks, which
-        # emit formats and writes one block at a time; start only the chosen one.
+        # One lazy walk over the 2^N - 1 rows in blocks, which emit formats
+        # and writes one block at a time; json_map is that walk under the
+        # name a trace of a JSON report sees.
         if args.format == "csv":
             results, blocks = {}, table.csv_rows()
         else:

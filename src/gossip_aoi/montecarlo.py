@@ -119,14 +119,17 @@ def power_sums(values: np.ndarray, k_max: int) -> tuple[np.ndarray, np.ndarray]:
 
     The x^(2k) sums feed the standard errors of the x^k means.  The powers
     x, x^2, ... are made one at a time in one buffer and summed as they are
-    made, so one power of ``values`` is alive at a time.
+    made, so one power of ``values`` is alive at a time.  A power or sum
+    that overflows is +inf, without a warning: its standard error is then
+    infinite, which fails the row in ``compare``.
     """
     sums = np.empty(2 * k_max)   # sums[j] is the sum of x^(j+1)
     p = values.copy()
-    for j in range(2 * k_max):
-        if j:
-            np.multiply(p, values, out=p)
-        sums[j] = p.sum()
+    with np.errstate(over="ignore"):
+        for j in range(2 * k_max):
+            if j:
+                np.multiply(p, values, out=p)
+            sums[j] = p.sum()
     return sums[:k_max], sums[1::2]
 
 

@@ -133,8 +133,8 @@ def emit(config: dict[str, Any], results: dict[str, Any], header: Sequence[str],
     ``config``.
 
     A table too large to hold as text comes lazily, as an iterator of blocks:
-    as ``blocks``, or as a value of ``results``, keys first and in key order,
-    which becomes a JSON object of lists.  The JSON envelope, the CSV
+    as ``blocks``, or as a value of ``results``, keys first and in the order
+    given, which becomes a JSON object of lists.  The JSON envelope, the CSV
     preamble and header and the first ``_GROUP`` CSV rows are formatted
     before ``out`` is opened, so a report of no more rows is formatted whole
     first.  A lazy table's rows are formatted as they are written,

@@ -69,6 +69,7 @@ PILOT_REPLICAS = 32
 TIMEAVG_BATCHES = 30
 TRACE_HEADER = ("time", "from", "to", "new_timestamp")   # a time-average trace row
 PENDING_TOLERANCE = 0.01
+EVENT_BUDGET = 10**9   # expected events above which a simulation is refused before it starts
 
 
 class PendingReplicasError(RuntimeError):
@@ -81,6 +82,15 @@ def _event_rate(net: GossipNetwork) -> float:
     if not total > 0.0:
         raise ValueError("network has no edges; the event clock never rings")
     return total
+
+
+def _check_budget(what: str, events: float, total: float, horizon: float, lower: str) -> None:
+    """Refuse a simulation whose expected event count exceeds ``EVENT_BUDGET``."""
+    if events > EVENT_BUDGET:
+        raise ValueError(
+            f"{what} would take about {events:.3g} events (Lambda = {total:g}, horizon = "
+            f"{horizon:g}), above the budget of {EVENT_BUDGET:.0e}; lower {lower}"
+        )
 
 
 def _trajectory(
@@ -163,13 +173,14 @@ def pilot_t0(
     """Per-replica t_0 from short pilot runs (run each replica until informed).
 
     A subset with a member that has no path from the source is never fully
-    informed, and fails at once.
+    informed, and fails at once.  A replica still uninformed after
+    ``event_cap`` events fails the pilot.
     """
     s = net.check_subset(subset)
     montecarlo.check_seed(seed)
     if replicas < 1:
         raise ValueError(f"need at least 1 pilot replica, got {replicas}")
-    _event_rate(net)
+    total = _event_rate(net)
     cut_off = s.mask & ~net.reachable
     if cut_off:
         raise PendingReplicasError(
@@ -182,7 +193,10 @@ def pilot_t0(
         t0 = _trajectory(net, s, rng, event_cap=event_cap, until_t0=True)
         if t0 is None:
             raise PendingReplicasError(
-                f"pilot replica {i}: subset {s} still uninformed after {event_cap} events"
+                f"pilot replica {i}: subset {s} still uninformed after {event_cap} events; "
+                f"the source reaches every member, but the pilot simulated only about "
+                f"{event_cap / total:.3g} time units at Lambda = {total:g}; give the horizon "
+                "(or the burn-in) to skip the pilot"
             )
         times.append(t0)
     return times
@@ -301,9 +315,13 @@ def replication_job(
     net: GossipNetwork, subsets: Sequence[NodeSubset], k_max: int, replicas: int, horizon: float
 ) -> montecarlo.Job:
     """The pipeline job that simulates ``replicas`` replicas to ``horizon``,
-    one group per subset (checked and distinct) holding its ages there."""
+    one group per subset (checked and distinct) holding its ages there.
+    A job expected to take more than ``EVENT_BUDGET`` replica-events,
+    replicas x horizon x Lambda, is refused."""
     check_replication(replicas, horizon)
-    _event_rate(net)   # also caches the rate tables every block reads
+    total = _event_rate(net)   # also caches the rate tables every block reads
+    _check_budget(f"replication of {replicas} replicas", replicas * horizon * total, total,
+                  horizon, "the horizon or the replicas")
     draw = partial(_replication_draw, net, tuple(s.ids() for s in subsets), horizon)
     return draw, k_max, replicas, montecarlo.REPLICATION_BLOCK, montecarlo.STREAM_REPLICATION
 
@@ -348,7 +366,8 @@ def check_timeavg(net: GossipNetwork, k_max: int, horizon: float, burn_in: float
     """Check the time-average arguments before any work.
 
     A burn-in of None, one still to be resolved by the pilot, checks only
-    that the horizon is positive.
+    that the horizon is positive.  A trajectory expected to take more than
+    ``EVENT_BUDGET`` events, horizon x Lambda, is refused.
     """
     montecarlo.check_order(k_max)
     if batches < 2:
@@ -360,7 +379,8 @@ def check_timeavg(net: GossipNetwork, k_max: int, horizon: float, burn_in: float
             raise ValueError(f"horizon must be positive, got {horizon}")
     elif burn_in < 0 or not horizon > burn_in:
         raise ValueError(f"need 0 <= burn_in < horizon, got burn_in={burn_in}, horizon={horizon}")
-    _event_rate(net)
+    total = _event_rate(net)
+    _check_budget("the time average", horizon * total, total, horizon, "the horizon")
 
 
 def estimate_moments_timeavg(

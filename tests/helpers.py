@@ -530,7 +530,10 @@ def reference_pilot_t0(
                 break
         else:
             raise PendingReplicasError(
-                f"pilot replica {i}: subset {s} still uninformed after {event_cap} events"
+                f"pilot replica {i}: subset {s} still uninformed after {event_cap} events; "
+                f"the source reaches every member, but the pilot simulated only about "
+                f"{event_cap / net.total_rate:.3g} time units at Lambda = {net.total_rate:g}; "
+                "give the horizon (or the burn-in) to skip the pilot"
             )
         times.append(detect_t0(state, s))
     return times
@@ -730,15 +733,22 @@ def table_row(table: MomentTable, subset: NodeSubset | Iterable[int]) -> tuple[f
 
 def table_map(table: MomentTable) -> dict[str, list[float]]:
     """The JSON ``table`` object built whole, label -> v^1..v^K for every
-    row in row order: the reference for the key-ordered row blocks of
-    ``MomentTable.json_map``."""
+    row in row order: the reference for the row blocks that
+    ``MomentTable.csv_rows`` gives both formats."""
     masks = range(2, 2 * len(table.entries) + 2, 2)   # row mask // 2 - 1 holds the subset mask
     labels = [",".join(map(str, NodeSubset(mask).ids())) for mask in masks]
     return dict(zip(labels, table.entries.tolist()))
 
 
 def reference_render_json(document: dict[str, Any]) -> str:
-    """``document`` whole through ``json_ready`` and
-    ``json.dumps(indent=2, sort_keys=True)``: the bitwise reference for the
-    JSON reports, whose table object is written block by block."""
-    return json.dumps(json_ready(document), indent=2, sort_keys=True) + "\n"
+    """``document`` whole through ``json_ready`` and ``json.dumps(indent=2)``,
+    with the keys of every object sorted but those of a ``table``, which
+    keep their row order: the bitwise reference for the JSON reports, whose
+    table object is written block by block."""
+    def ordered(value: Any, key: str | None = None) -> Any:
+        if not isinstance(value, dict):
+            return value
+        items = value.items() if key == "table" else sorted(value.items())
+        return {k: ordered(v, k) for k, v in items}
+
+    return json.dumps(ordered(json_ready(document)), indent=2) + "\n"

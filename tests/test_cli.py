@@ -49,7 +49,7 @@ GOLDEN_SHA256 = {
     "fpp.json": "4e356e65333be27f8fadaecdc01a87d1282476e49ba364c88ab54c0a1d00137c",
     "lattice.json": "f9860f154a9b4794f0b73c71fd314d959fa715eaaa4231e8429b1d8c54e4573e",
     "compare.csv": "2a2023237129fa8e3d23b37f7c92eb4ab5007abf0781149b53a9965c6c49f7d2",
-    "table.json": "c847515e2b4b83937fc8a6f2369322d165d66acdf75d46df3c2a5aa445bf479e",
+    "table.json": "bcf136a956bb7da2260a503d149f9f207d224e814d1bcc8800583952eb5d29f3",
     "table.csv": "5967d98da46ebdb5b1370a9a31578561870f74352d55a06ae4b9ac8f78c4a324",
     "replication.csv": "a954a3106f4d74b2a0389e62caa6435b2ad8384d6d18669466f41239a8929ccd",
     "fpp.csv": "bc5b960dddbefca6d904bf6d2341b3502fb9500bce1fc012e6ba034e721f56a2",
@@ -202,7 +202,6 @@ def test_z_score_of_a_non_finite_standard_error_is_nan():
     assert cli._z_score(1.0, montecarlo.MomentEstimate(1, 1.0, 0.0, 10)) == 0.0
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
 def test_an_overflowed_standard_error_never_passes(capsys, tmp_path):
     # In these time units the k = 17 power sums of x^34 overflow, so the FPP
     # standard error is inf; a z of -0.0 would pass that half of the row.
@@ -472,6 +471,32 @@ def test_simulate_rejects_its_arguments_before_the_pilot(capsys, line_path, monk
     assert capsys.readouterr().err == f"gossip-aoi: error: {message}\n"
 
 
+_REPLICATION_OVER_BUDGET = (
+    "replication of 100 replicas would take about 3e+14 events (Lambda = 3, horizon = 1e+12), "
+    "above the budget of 1e+09; lower the horizon or the replicas")
+
+
+@pytest.mark.parametrize("command, message", [
+    (["simulate", "--replicas", "100"], _REPLICATION_OVER_BUDGET),
+    (["simulate", "--mode", "timeavg", "--burn-in", "1"],
+     "the time average would take about 3e+12 events (Lambda = 3, horizon = 1e+12), "
+     "above the budget of 1e+09; lower the horizon"),
+    (["compare", "--replicas", "100", "--samples", "100"], _REPLICATION_OVER_BUDGET),
+], ids=["replication", "timeavg", "compare"])
+def test_a_simulation_over_the_event_budget_is_refused_before_any_block(capsys, line_path,
+                                                                         monkeypatch, command,
+                                                                         message):
+    def refuse(*cell):
+        raise AssertionError("a block was drawn for a simulation over the event budget")
+
+    monkeypatch.setattr(montecarlo, "block_rng", refuse)
+    name, *options = command
+    code = cli.main([name, "--network", line_path, "--subset", "2", "--horizon", "1e12",
+                     *options])
+    assert code == 2
+    assert capsys.readouterr().err == f"gossip-aoi: error: {message}\n"
+
+
 def test_compare_fails_when_the_bar_is_impossible(capsys, line_path):
     code, doc = run_json(capsys, ["compare", "--network", line_path, "--subset", "2",
                                   "--seed", "7", "--samples", "5000",
@@ -648,6 +673,19 @@ def test_solve_json_table_is_the_whole_document_reference(capsys, tmp_path, k):
                         "zero_rate_subsets": zero_rate}})
 
 
+def test_solve_json_table_lists_subsets_in_the_csv_row_order(capsys, tmp_path):
+    path = tmp_path / "net.json"
+    net = _write_unreached_network(path)
+    argv = ["solve", "--network", str(path), "--k", "2"]
+    assert cli.main(argv + ["--format", "csv"]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out.split("\n", 1)[1])))
+    assert cli.main(argv) == 0
+    streamed = json.loads(capsys.readouterr().out)["results"]["table"]   # keys in text order
+    expected = table_map(moments.MomentSolver(net, 2).solve_all())
+    assert list(streamed) == [row[0] for row in rows[1:]] == list(expected)
+    assert streamed == json_ready(expected)
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_table_reports_do_not_depend_on_the_block_size(capsys, tmp_path, monkeypatch, fmt):
     path = tmp_path / "net.json"
@@ -655,8 +693,8 @@ def test_table_reports_do_not_depend_on_the_block_size(capsys, tmp_path, monkeyp
     argv = ["solve", "--network", str(path), "--k", "2", "--format", fmt]
     assert cli.main(argv) == 0
     whole = capsys.readouterr().out
-    # 7 rows a block: the CSV blocks join 2 low nodes to each label of the
-    # 9 high ones, and the JSON walk goes node by node over the 9 low nodes.
+    # A chunk of 7: the blocks of both formats join the labels of 2 low
+    # nodes to each label of the 9 high ones.
     monkeypatch.setattr(moments, "TABLE_CHUNK", 7)
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == whole

@@ -240,6 +240,19 @@ def test_pilot_t0_bounds_the_informing_time():
         pilot_t0(net, [2], replicas=1, seed=53, event_cap=1)
 
 
+def test_a_capped_pilot_says_the_subset_is_reachable_and_how_to_skip_it():
+    # A stiff network: the source rate is a millionth of Lambda, so the cap
+    # of 1000 events spans about one time unit, far short of t_0.
+    net = GossipNetwork(node_count=2, edges=(Edge(0, 1, 0.001), Edge(1, 2, 1.0),
+                                             Edge(2, 1, 1000.0)))
+    with pytest.raises(PendingReplicasError) as caught:
+        pilot_t0(net, [2], replicas=1, event_cap=1000)
+    assert str(caught.value) == (
+        "pilot replica 0: subset {2} still uninformed after 1000 events; the source reaches "
+        "every member, but the pilot simulated only about 0.999 time units at "
+        "Lambda = 1001; give the horizon (or the burn-in) to skip the pilot")
+
+
 @pytest.mark.parametrize("replicas", [0, -1])
 def test_pilot_rejects_a_replica_count_below_one(replicas):
     with pytest.raises(ValueError, match=f"need at least 1 pilot replica, got {replicas}"):
