@@ -7,6 +7,9 @@ logged to stderr rather than embedded in the document.  --workers sets
 the number of threads that run the Monte-Carlo blocks.  ``compare`` runs
 the first-passage and replication blocks through one pool of them; each
 route is still reduced on its own, so the bytes do not depend on it.
+``main`` checks the shared options, runs the command's handler and emits its
+report; the config is the parsed arguments, each default a handler resolved
+included.
 """
 
 from __future__ import annotations
@@ -18,10 +21,10 @@ import sys
 import time
 from functools import partial
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 from . import __version__, fpp, lattice, moments, montecarlo, reporting, simulate
-from .montecarlo import FPP_BLOCK, MomentEstimate, block_sizes, check_order, check_seed, check_workers
+from .montecarlo import FPP_BLOCK, MomentEstimate, block_sizes, check_seed, check_workers
 from .network import GossipNetwork, NetworkConfigError, load_network
 from .reporting import TOOL_NAME
 
@@ -113,14 +116,23 @@ def _load(path: str) -> GossipNetwork:
     return load_network(text)
 
 
-def _emit_estimates(config: dict[str, Any], results: dict[str, Any],
-                    estimates: Sequence[MomentEstimate], args: argparse.Namespace) -> None:
-    """Emit ``results`` with one ``estimates`` record per moment order."""
+_NOT_ECHOED = frozenset({"workers", "format", "out", "trace", "memo_limit"})
+_Report = tuple[dict[str, Any], Sequence[str], Iterable[Any], int]   # results, header, blocks, exit
+
+
+def _config(args: argparse.Namespace) -> dict[str, Any]:
+    """The report's config: every argument given or resolved, bar those in
+    ``_NOT_ECHOED``, which cannot change a report's numbers."""
+    return {key: value for key, value in vars(args).items()
+            if value is not None and key not in _NOT_ECHOED}
+
+
+def _estimates(results: dict[str, Any], estimates: Sequence[MomentEstimate]) -> _Report:
+    """``results`` with one ``estimates`` record per moment order."""
     header = ["k", "mean", "std_error", "samples"]
     rows = [dict(zip(header, (e.k, e.mean, e.std_error, e.sample_count))) for e in estimates]
     results["estimates"] = rows
-    reporting.emit(config, results, header, [reporting.record_columns(rows, header)],
-                   args.format, args.out)
+    return results, header, [reporting.record_columns(rows, header)], 0
 
 
 def _z_score(reference: float, estimate: MomentEstimate) -> float:
@@ -136,12 +148,10 @@ def _z_score(reference: float, estimate: MomentEstimate) -> float:
 # ---- command handlers -------------------------------------------------------
 
 
-def _cmd_solve(args: argparse.Namespace) -> int:
+def _cmd_solve(args: argparse.Namespace) -> _Report:
     net = _load(args.network)
-    config = {"command": "solve", "network": args.network, "k": args.k, "seed": check_seed(args.seed)}
     solver = moments.MomentSolver(net, args.k, memo_limit=args.memo_limit)
     if args.subset is not None:
-        config["subset"] = args.subset
         vector = solver.solve(args.subset)
         header = ["k", "value"]
         rows = [{"k": k, "value": vector[k]} for k in range(1, args.k + 1)]
@@ -160,24 +170,19 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             results, blocks = {"entries": len(table.entries), "table": table.json_map()}, []
     if solver.zero_rate_subsets:
         results["zero_rate_subsets"] = [",".join(map(str, s.ids())) for s in solver.zero_rate_subsets]
-    reporting.emit(config, results, header, blocks, args.format, args.out)
-    return 0
+    return results, header, blocks, 0
 
 
-def _cmd_fpp(args: argparse.Namespace) -> int:
+def _cmd_fpp(args: argparse.Namespace) -> _Report:
     net = _load(args.network)
-    config = {"command": "fpp", "network": args.network, "subset": args.subset,
-              "k": args.k, "samples": args.samples, "seed": check_seed(args.seed)}
     subset = net.check_subset(args.subset)
     estimates = fpp.estimate_moments(net, [subset], args.k, args.samples,
                                      seed=args.seed, workers=args.workers)[subset]
-    _emit_estimates(config, {"subset": list(subset.ids())}, estimates, args)
-    return 0
+    return _estimates({"subset": list(subset.ids())}, estimates)
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
+def _cmd_simulate(args: argparse.Namespace) -> _Report:
     net = _load(args.network)
-    seed = check_seed(args.seed)
     subset = net.check_subset(args.subset)
     results: dict[str, Any] = {"subset": list(subset.ids()), "mode": args.mode}
     if args.mode == "replication":
@@ -185,37 +190,28 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             raise NetworkConfigError("--trace requires --mode timeavg (a single trajectory)")
         if args.burn_in is not None:
             raise NetworkConfigError("--burn-in requires --mode timeavg")
-        check_order(args.k)
-        replicas = 10_000 if args.replicas is None else args.replicas
-        simulate.check_replication(replicas, args.horizon)
-        horizon = args.horizon
-        if horizon is None:
-            horizon = simulate.default_horizon(net, subset, seed=seed)
-        config = {"command": "simulate", "network": args.network, "subset": args.subset,
-                  "k": args.k, "replicas": replicas, "horizon": horizon,
-                  "mode": args.mode, "seed": seed}
-        result = simulate.replication_results(net, [subset], args.k, replicas,
-                                              horizon, seed=seed, workers=args.workers)[subset]
-        simulate.check_pending(result, subset, horizon)
-        estimates = list(result.estimates)
+        if args.replicas is None:
+            args.replicas = 10_000
+        if args.horizon is None:
+            args.horizon = simulate.default_horizon(net, subset, args.k, args.replicas,
+                                                    seed=args.seed)
+        result = simulate.replication_results(net, [subset], args.k, args.replicas, args.horizon,
+                                              seed=args.seed, workers=args.workers)[subset]
+        simulate.check_pending(result, subset, args.horizon)
+        estimates = result.estimates
         results.update(replicas=result.replicas, pending=result.pending)
     else:
         if args.replicas is not None:
             raise NetworkConfigError("--replicas requires --mode replication")
         if args.horizon is None:
             raise NetworkConfigError("--mode timeavg requires --horizon")
+        if args.burn_in is None:
+            args.burn_in = simulate.default_burn_in(net, subset, args.k, args.horizon,
+                                                    seed=args.seed)
+        # Checked before the trace is opened, so a rejected call leaves no file.
         simulate.check_timeavg(net, args.k, args.horizon, args.burn_in)
-        burn_in = args.burn_in
-        if burn_in is None:
-            burn_in = simulate.default_burn_in(net, subset, seed=seed)
-            # The pilot's burn-in must still lie below the horizon; check it
-            # before opening the trace, so a rejected call leaves no file.
-            simulate.check_timeavg(net, args.k, args.horizon, burn_in)
-        config = {"command": "simulate", "network": args.network, "subset": args.subset,
-                  "k": args.k, "horizon": args.horizon, "burn_in": burn_in,
-                  "mode": args.mode, "seed": seed}
         run = partial(simulate.estimate_moments_timeavg, net, subset, args.k, args.horizon,
-                      burn_in, seed=seed)
+                      args.burn_in, seed=args.seed)
         if args.trace:
             with open(args.trace, "w", encoding="utf-8", newline="") as fh:
                 writer = reporting.csv_writer(fh)
@@ -224,56 +220,36 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         else:
             estimates = run()
         results["batches"] = simulate.TIMEAVG_BATCHES
-    _emit_estimates(config, results, estimates, args)
-    return 0
+    return _estimates(results, estimates)
 
 
-def _cmd_lattice(args: argparse.Namespace) -> int:
-    seed = check_seed(args.seed)
+def _cmd_lattice(args: argparse.Namespace) -> _Report:
     block_sizes(args.samples, FPP_BLOCK)   # reject a bad count before the exact solve
-    config = {"command": "lattice", "d": args.d, "ell": args.ell,
-              "samples": args.samples, "seed": seed}
     raw = lattice.time_constant_estimate(args.d, args.ell)
     mc = lattice.mc_boundary_passage(args.d, args.ell, args.samples,
-                                     seed=seed, workers=args.workers)
-    results = {
-        "d": args.d,
-        "ell": args.ell,
-        "raw": raw,
-        "normalized": raw / args.ell,
-        "mc_mean": mc.mean,
-        "mc_se": mc.std_error,
-        "samples": mc.sample_count,
-    }
+                                     seed=args.seed, workers=args.workers)
+    results = {"d": args.d, "ell": args.ell, "raw": raw, "normalized": raw / args.ell,
+               "mc_mean": mc.mean, "mc_se": mc.std_error, "samples": mc.sample_count}
     header = list(results)
-    reporting.emit(config, results, header, [reporting.record_columns([results], header)],
-                   args.format, args.out)
-    return 0
+    return results, header, [reporting.record_columns([results], header)], 0
 
 
-def _cmd_compare(args: argparse.Namespace) -> int:
+def _cmd_compare(args: argparse.Namespace) -> _Report:
     net = _load(args.network)
-    seed = check_seed(args.seed)
     subset = net.check_subset(args.subset)
     if args.samples < 2:
         raise ValueError(f"need at least 2 samples, got {args.samples}")
     if not args.se_threshold > 0.0:
         raise ValueError(f"se threshold must be positive, got {args.se_threshold}")
-    check_order(args.k)
-    simulate.check_replication(args.replicas, args.horizon)
-    horizon = args.horizon
-    if horizon is None:
-        horizon = simulate.default_horizon(net, subset, seed=seed)
-    config = {"command": "compare", "network": args.network, "subset": args.subset,
-              "k": args.k, "samples": args.samples, "replicas": args.replicas,
-              "horizon": horizon, "se_threshold": args.se_threshold, "seed": seed}
+    if args.horizon is None:
+        args.horizon = simulate.default_horizon(net, subset, args.k, args.replicas, seed=args.seed)
     jobs = [fpp.passage_job(net, [subset], args.k, args.samples),
-            simulate.replication_job(net, [subset], args.k, args.replicas, horizon)]
+            simulate.replication_job(net, [subset], args.k, args.replicas, args.horizon)]
     vector = moments.solve_moments(net, subset, args.k)
     # One pool for both routes: the replication block runs beside the FPP blocks.
-    [(_, fpp_estimates)], [sim_group] = montecarlo.sample_moments(jobs, seed, args.workers)
+    [(_, fpp_estimates)], [sim_group] = montecarlo.sample_moments(jobs, args.seed, args.workers)
     sim = simulate.ReplicationResult.from_group(args.replicas, sim_group)
-    simulate.check_pending(sim, subset, horizon)
+    simulate.check_pending(sim, subset, args.horizon)
     rows = []
     for f, s in zip(fpp_estimates, sim.estimates):
         exact = vector[f.k]
@@ -287,9 +263,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
                "rows": rows, "pass": all_pass}
     keys = list(rows[0])
     header = [*keys[:-1], "pass"]   # the CSV header spells the "passed" key "pass"
-    reporting.emit(config, results, header, [reporting.record_columns(rows, keys)],
-                   args.format, args.out)
-    return 0 if all_pass else 1
+    return results, header, [reporting.record_columns(rows, keys)], 0 if all_pass else 1
 
 
 _HANDLERS = {
@@ -309,10 +283,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         if getattr(args, "workers", None) is None:
             args.workers = _default_workers()
         check_workers(args.workers)
+        check_seed(args.seed)
         for path in (args.out, getattr(args, "trace", None)):
             if path is not None:
                 reporting.check_writable(path)
-        code = _HANDLERS[args.command](args)
+        results, header, blocks, code = _HANDLERS[args.command](args)
+        reporting.emit(_config(args), results, header, blocks, args.format, args.out)
     except (NetworkConfigError, ValueError, RuntimeError, OverflowError) as exc:
         print(f"{TOOL_NAME}: error: {exc}", file=sys.stderr)
         return 2

@@ -84,8 +84,11 @@ def _event_rate(net: GossipNetwork) -> float:
     return total
 
 
-def _check_budget(what: str, events: float, total: float, horizon: float, lower: str) -> None:
-    """Refuse a simulation whose expected event count exceeds ``EVENT_BUDGET``."""
+def _check_budget(net: GossipNetwork, what: str, runs: int, horizon: float, lower: str) -> None:
+    """Refuse ``runs`` simulations to ``horizon`` whose expected event count,
+    runs x horizon x Lambda, exceeds ``EVENT_BUDGET``."""
+    total = _event_rate(net)   # also caches the rate tables every block reads
+    events = runs * horizon * total
     if events > EVENT_BUDGET:
         raise ValueError(
             f"{what} would take about {events:.3g} events (Lambda = {total:g}, horizon = "
@@ -169,12 +172,14 @@ def pilot_t0(
     replicas: int = PILOT_REPLICAS,
     seed: int = 0,
     event_cap: int = 1_000_000,
+    check: Callable[[float], Any] | None = None,
 ) -> list[float]:
     """Per-replica t_0 from short pilot runs (run each replica until informed).
 
     A subset with a member that has no path from the source is never fully
     informed, and fails at once.  A replica still uninformed after
-    ``event_cap`` events fails the pilot.
+    ``event_cap`` events fails the pilot.  ``check`` gets each t_0 as it is
+    found, and stops the pilot by raising.
     """
     s = net.check_subset(subset)
     montecarlo.check_seed(seed)
@@ -184,8 +189,8 @@ def pilot_t0(
     cut_off = s.mask & ~net.reachable
     if cut_off:
         raise PendingReplicasError(
-            f"pilot: subset {s} is unreachable; nodes {NodeSubset(cut_off)} have no path "
-            "from the source"
+            f"pilot: subset {s} is never fully informed; nodes {NodeSubset(cut_off)} have no "
+            "path from the source"
         )
     times = []
     for i in range(replicas):
@@ -198,18 +203,32 @@ def pilot_t0(
                 f"{event_cap / total:.3g} time units at Lambda = {total:g}; give the horizon "
                 "(or the burn-in) to skip the pilot"
             )
+        if check is not None:
+            check(t0)
         times.append(t0)
     return times
 
 
-def default_burn_in(net: GossipNetwork, subset: NodeSubset | Iterable[int], seed: int = 0) -> float:
-    """Twice the worst pilot t_0 — a conservative start for time averaging."""
-    return 2.0 * max(pilot_t0(net, subset, seed=seed))
+def default_burn_in(
+    net: GossipNetwork, subset: NodeSubset | Iterable[int], k_max: int, horizon: float, seed: int = 0
+) -> float:
+    """Twice the worst pilot t_0 — a conservative start for time averaging.
+    The arguments are checked first, and the pilot stops at the first t_0
+    whose burn-in :func:`check_timeavg` refuses."""
+    check_timeavg(net, k_max, horizon, None)
+    return 2.0 * max(pilot_t0(net, subset, seed=seed,
+                              check=lambda t0: check_timeavg(net, k_max, horizon, 2.0 * t0)))
 
 
-def default_horizon(net: GossipNetwork, subset: NodeSubset | Iterable[int], seed: int = 0) -> float:
-    """Three times the worst pilot t_0 — the default replication horizon."""
-    return 3.0 * max(pilot_t0(net, subset, seed=seed))
+def default_horizon(
+    net: GossipNetwork, subset: NodeSubset | Iterable[int], k_max: int, replicas: int, seed: int = 0
+) -> float:
+    """Three times the worst pilot t_0 — the default replication horizon.
+    The arguments are checked first, and the pilot stops at the first t_0
+    whose horizon the event budget refuses."""
+    check_replication(net, k_max, replicas, None)
+    return 3.0 * max(pilot_t0(net, subset, seed=seed,
+                              check=lambda t0: _check_replication_budget(net, replicas, 3.0 * t0)))
 
 
 # ---- replication estimator ------------------------------------------------
@@ -301,27 +320,33 @@ def _replication_draw(
     return out
 
 
-def check_replication(replicas: int, horizon: float | None) -> None:
-    """Reject a replica count below 2, or a given horizon that is not positive and finite."""
+def check_replication(net: GossipNetwork, k_max: int, replicas: int, horizon: float | None) -> None:
+    """Check the replication arguments before any work; a horizon of None,
+    one still to be resolved by the pilot, checks the order and the replica
+    count.  A replication over the event budget is refused."""
+    montecarlo.check_order(k_max)
     if replicas < 2:
         raise ValueError(f"need at least 2 replicas, got {replicas}")
-    if horizon is not None and not horizon > 0.0:
+    if horizon is None:
+        return
+    if not horizon > 0.0:
         raise ValueError(f"horizon must be positive, got {horizon}")
     if horizon == math.inf:
         raise ValueError(f"horizon must be finite, got {horizon}")
+    _check_replication_budget(net, replicas, horizon)
+
+
+def _check_replication_budget(net: GossipNetwork, replicas: int, horizon: float) -> None:
+    _check_budget(net, f"replication of {replicas} replicas", replicas, horizon,
+                  "the horizon or the replicas")
 
 
 def replication_job(
     net: GossipNetwork, subsets: Sequence[NodeSubset], k_max: int, replicas: int, horizon: float
 ) -> montecarlo.Job:
     """The pipeline job that simulates ``replicas`` replicas to ``horizon``,
-    one group per subset (checked and distinct) holding its ages there.
-    A job expected to take more than ``EVENT_BUDGET`` replica-events,
-    replicas x horizon x Lambda, is refused."""
-    check_replication(replicas, horizon)
-    total = _event_rate(net)   # also caches the rate tables every block reads
-    _check_budget(f"replication of {replicas} replicas", replicas * horizon * total, total,
-                  horizon, "the horizon or the replicas")
+    one group per subset (checked and distinct) holding its ages there."""
+    check_replication(net, k_max, replicas, horizon)
     draw = partial(_replication_draw, net, tuple(s.ids() for s in subsets), horizon)
     return draw, k_max, replicas, montecarlo.REPLICATION_BLOCK, montecarlo.STREAM_REPLICATION
 
@@ -366,8 +391,7 @@ def check_timeavg(net: GossipNetwork, k_max: int, horizon: float, burn_in: float
     """Check the time-average arguments before any work.
 
     A burn-in of None, one still to be resolved by the pilot, checks only
-    that the horizon is positive.  A trajectory expected to take more than
-    ``EVENT_BUDGET`` events, horizon x Lambda, is refused.
+    that the horizon is positive.  A run over the event budget is refused.
     """
     montecarlo.check_order(k_max)
     if batches < 2:
@@ -379,8 +403,7 @@ def check_timeavg(net: GossipNetwork, k_max: int, horizon: float, burn_in: float
             raise ValueError(f"horizon must be positive, got {horizon}")
     elif burn_in < 0 or not horizon > burn_in:
         raise ValueError(f"need 0 <= burn_in < horizon, got burn_in={burn_in}, horizon={horizon}")
-    total = _event_rate(net)
-    _check_budget("the time average", horizon * total, total, horizon, "the horizon")
+    _check_budget(net, "the time average", 1, horizon, "the horizon")
 
 
 def estimate_moments_timeavg(

@@ -7,6 +7,7 @@ import hashlib
 import io
 import json
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -253,7 +254,7 @@ def test_simulate_replication_default_horizon_is_the_library_rule(capsys, line_p
                                   "--replicas", "2000", "--seed", "7"])
     assert code == 0
     net = cli._load(line_path)
-    assert doc["config"]["horizon"] == simulate.default_horizon(net, [2], seed=7)
+    assert doc["config"]["horizon"] == simulate.default_horizon(net, [2], 1, 2000, seed=7)
 
 
 def test_simulate_replication_pending_error_is_the_library_text(capsys, line_path):
@@ -309,6 +310,99 @@ def test_rejected_timeavg_call_leaves_the_trace_path_alone(capsys, tmp_path, doc
     trace.write_text("kept\n")
     assert cli.main(argv) == 2
     assert trace.read_text() == "kept\n"
+
+
+# The source rate is a hundred-thousandth of Lambda = 301.003, so t_0 is
+# long: at seed 0 the first pilot t_0 is about 380, which already forces the
+# refusal of each call below (3 x 380 x 301 x 10000 replicas is over the
+# event budget, and a burn-in of 2 x 380 is over the horizon of 500).
+STIFF_DOC = (
+    '{"nodes": 2, "edges": [{"from": 0, "to": 1, "rate": 0.003}, '
+    '{"from": 1, "to": 2, "rate": 1.0}, {"from": 2, "to": 1, "rate": 300.0}]}'
+)
+_STIFF_OVER_BUDGET = (
+    "replication of 10000 replicas would take about 3.43e+09 events (Lambda = 301.003, "
+    "horizon = 1139.5), above the budget of 1e+09; lower the horizon or the replicas")
+
+
+@pytest.mark.parametrize("command, message", [
+    (["compare", "--samples", "1000"], _STIFF_OVER_BUDGET),
+    (["simulate"], _STIFF_OVER_BUDGET),
+    (["simulate", "--mode", "timeavg", "--horizon", "500"],
+     "need 0 <= burn_in < horizon, got burn_in=759.6651705498507, horizon=500.0"),
+], ids=["compare", "replication", "timeavg"])
+def test_the_pilot_stops_at_the_first_t0_that_forces_a_refusal(capsys, tmp_path, monkeypatch,
+                                                                command, message):
+    path = tmp_path / "stiff.json"
+    path.write_text(STIFF_DOC)
+    trajectories = []
+    trajectory = simulate._trajectory
+
+    def counted(*args, **kwargs):
+        trajectories.append(args)
+        return trajectory(*args, **kwargs)
+
+    monkeypatch.setattr(simulate, "_trajectory", counted)
+    name, *options = command
+    start = time.perf_counter()
+    code = cli.main([name, "--network", str(path), "--subset", "2", *options])
+    elapsed = time.perf_counter() - start
+    assert code == 2
+    assert capsys.readouterr().err == f"gossip-aoi: error: {message}\n"
+    assert len(trajectories) == 1   # of the pilot's 32
+    assert elapsed < 1.0
+
+
+_ECHOED = {"command", "seed", "network", "k"}
+# Per report: its arguments, the config keys it echoes and the options of
+# that command that must change neither its config nor its bytes, beside
+# --workers, --format and --out.
+CONFIG_RUNS = {
+    "solve": (["solve", "--subset", "2", "--k", "2"], _ECHOED | {"subset"},
+              ["--memo-limit", "1000"]),
+    "table": (["solve", "--k", "2"], _ECHOED, ["--memo-limit", "1000"]),
+    "fpp": (["fpp", "--subset", "2", "--samples", "2000"], _ECHOED | {"subset", "samples"}, []),
+    "replication": (["simulate", "--subset", "2"],
+                    _ECHOED | {"subset", "mode", "replicas", "horizon"}, []),
+    "timeavg": (["simulate", "--subset", "2", "--mode", "timeavg", "--horizon", "50"],
+                _ECHOED | {"subset", "mode", "horizon", "burn_in"}, ["--trace", "trace.csv"]),
+    "lattice": (["lattice", "--d", "1", "--ell", "2", "--samples", "2000"],
+                {"command", "seed", "d", "ell", "samples"}, []),
+    "compare": (["compare", "--subset", "2", "--samples", "2000", "--replicas", "500"],
+                _ECHOED | {"subset", "samples", "replicas", "horizon", "se_threshold"}, []),
+}
+
+
+@pytest.mark.parametrize("name", list(CONFIG_RUNS))
+def test_the_config_echoes_every_argument_that_can_change_the_numbers(capsys, line_path,
+                                                                      tmp_path, monkeypatch,
+                                                                      name):
+    monkeypatch.chdir(tmp_path)   # where --trace writes
+    argv, keys, options = CONFIG_RUNS[name]
+    if name != "lattice":
+        argv = [*argv, "--network", line_path]
+    configs = []
+    for fmt in ("json", "csv"):
+        code = cli.main([*argv, "--format", fmt])
+        report = capsys.readouterr().out
+        assert code == cli.main([*argv, "--format", fmt, "--workers", "2", *options,
+                                 "--out", f"report.{fmt}"])
+        assert (tmp_path / f"report.{fmt}").read_text() == report
+        if fmt == "json":
+            configs.append(json.loads(report)["config"])
+        else:
+            preamble = report.split("\n", 1)[0]
+            configs.append(json.loads(preamble.split(" config=", 1)[1]))
+    config, csv_config = configs
+    assert csv_config == config
+    assert set(config) == keys
+    net = cli._load(line_path) if name != "lattice" else None
+    if name in ("replication", "compare"):
+        replicas = 10_000 if name == "replication" else 500
+        assert config["replicas"] == replicas
+        assert config["horizon"] == simulate.default_horizon(net, [2], 1, replicas, seed=0)
+    if name == "timeavg":
+        assert config["burn_in"] == simulate.default_burn_in(net, [2], 1, 50.0, seed=0)
 
 
 GOLDEN_NET = ["--network", "golden.json", "--subset", "2,3", "--k", "3", "--seed", "12"]

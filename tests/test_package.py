@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import ast
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -68,3 +70,17 @@ def test_every_entry_point_the_bench_traces_resolves(monkeypatch):
             absent.append(name)
     assert tracing.ENTRY_POINTS
     assert absent == []
+
+
+def test_the_readme_library_example_runs_and_agrees_with_its_comment():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    [code] = re.findall(r"```python\n(.*?)```", readme, re.S)
+    namespace: dict = {}
+    exec(code, namespace)
+    commented = ast.literal_eval(re.search(r"^exact = .*# (\(.*\))$", code, re.M).group(1))
+    assert commented == (1.0, 1.5, 3.5)
+    assert tuple(namespace["exact"]) == pytest.approx(commented, abs=1e-12)
+    estimates = [*namespace["fpp"], *namespace["sim"].estimates]
+    assert [e.k for e in estimates] == [1, 2, 1, 2]
+    for e in estimates:
+        assert abs(e.mean - commented[e.k]) <= 4 * e.std_error, e
