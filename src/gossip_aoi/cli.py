@@ -161,13 +161,10 @@ def _cmd_solve(args: argparse.Namespace) -> _Report:
     else:
         table = solver.solve_all()
         header = table.csv_header()
-        # One lazy walk over the 2^N - 1 rows in blocks, which emit formats
-        # and writes one block at a time; json_map is that walk under the
-        # name a trace of a JSON report sees.
-        if args.format == "csv":
-            results, blocks = {}, table.csv_rows()
-        else:
-            results, blocks = {"entries": len(table.entries), "table": table.json_map()}, []
+        # One lazy walk over the 2^N - 1 rows in blocks: emit writes it, one
+        # block at a time, as the CSV body or as the JSON table.
+        blocks = table.csv_rows()
+        results = {"entries": len(table.entries), "table": blocks}
     if solver.zero_rate_subsets:
         results["zero_rate_subsets"] = [",".join(map(str, s.ids())) for s in solver.zero_rate_subsets]
     return results, header, blocks, 0
@@ -280,7 +277,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     start = time.perf_counter()
     try:
-        if getattr(args, "workers", None) is None:
+        if args.workers is None:
             args.workers = _default_workers()
         check_workers(args.workers)
         check_seed(args.seed)

@@ -97,7 +97,8 @@ def exp_weights(rng: np.random.Generator, samples: int, rates: np.ndarray) -> np
         u = rng.random((min(DRAW_ROWS, samples - start), edges))
         np.negative(u.T, out=weights[:, start : start + len(u)])
     np.log1p(weights, out=weights)
-    weights /= -rates[:, None]   # -a / r, as (-a) / r == a / (-r) bit for bit
+    with np.errstate(over="ignore"):   # an overflowed weight is +inf; its moment is refused
+        weights /= -rates[:, None]   # -a / r, as (-a) / r == a / (-r) bit for bit
     return weights
 
 
@@ -241,6 +242,7 @@ def passage_draw(
             np.copyto(low, dist[first])
             for v in rest:
                 np.minimum(low, dist[v], out=low)
+        del dist   # freed before the next tile's weights are drawn
     return list(mins)
 
 

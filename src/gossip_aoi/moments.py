@@ -98,7 +98,7 @@ class MomentTable:
             yield [labels, *self.entries[max(start, 1) - 1:start + len(lows) - 1].T.tolist()]
             del labels   # let the block go before the next one is made
 
-    # Both formats walk the table once, in row order.  The second name stays
+    # Both formats walk csv_rows once, in row order.  The second name stays
     # because bench/tracing.py traces csv_rows and json_map apart (and
     # tests/test_package.py checks that every traced name resolves); it goes
     # with the next change to the bench.
@@ -286,10 +286,7 @@ def _unique_runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def solve_moments(
-    net: GossipNetwork,
-    subset: NodeSubset | Iterable[int],
-    k_max: int,
-    memo_limit: int = DEFAULT_MEMO_LIMIT,
+    net: GossipNetwork, subset: NodeSubset | Iterable[int], k_max: int
 ) -> tuple[float, ...]:
     """Exact moment vector (v^0..v^k_max) of the minimum age over ``subset``."""
-    return MomentSolver(net, k_max, memo_limit).solve(subset)
+    return MomentSolver(net, k_max).solve(subset)

@@ -120,8 +120,8 @@ def power_sums(values: np.ndarray, k_max: int) -> tuple[np.ndarray, np.ndarray]:
     The x^(2k) sums feed the standard errors of the x^k means.  The powers
     x, x^2, ... are made one at a time in one buffer and summed as they are
     made, so one power of ``values`` is alive at a time.  A power or sum
-    that overflows is +inf, without a warning: its standard error is then
-    infinite, which fails the row in ``compare``.
+    that overflows is +inf, without a warning: its mean is then refused, or
+    its standard error not finite, which fails the row in ``compare``.
     """
     sums = np.empty(2 * k_max)   # sums[j] is the sum of x^(j+1)
     p = values.copy()
@@ -139,10 +139,13 @@ def moments_from_power_sums(
     """Build per-k estimates from sums of x^k and x^(2k) over ``count`` samples.
 
     power_sums[k-1] and square_sums[k-1] hold sum(x^k) and sum(x^(2k)).
+    Observations are finite but for a float overflow, so an infinite mean raises ``OverflowError``.
     """
     estimates = []
     for k, (s1, s2) in enumerate(zip(power_sums, square_sums), start=1):
         mean = float(s1) / count
+        if mean == math.inf:
+            raise OverflowError(f"sample moment v^{k} overflows a float; rescale the rates")
         if count > 1:
             var = max(float(s2) - count * mean * mean, 0.0) / (count - 1)
             se = math.sqrt(var / count)

@@ -116,7 +116,9 @@ class GossipNetwork:
                     raise NetworkConfigError(f"edge ({u}, {v}): unknown node id {endpoint}")
             if not rate > 0 or not np.isfinite(rate):
                 raise NetworkConfigError(f"edge ({u}, {v}): rate must be positive and finite, got {rate}")
-            merged[u, v] = merged.get((u, v), 0.0) + rate
+            total = merged[u, v] = merged.get((u, v), 0.0) + rate
+            if total == np.inf:
+                raise NetworkConfigError(f"edge ({u}, {v}): parallel rates sum past the float range")
         canonical = tuple(Edge(u, v, r) for (u, v), r in sorted(merged.items()))
         object.__setattr__(self, "edges", canonical)
 
@@ -136,7 +138,8 @@ class GossipNetwork:
 
     @cached_property
     def rate_cumsum(self) -> np.ndarray:
-        return np.cumsum(self.rates)
+        with np.errstate(over="ignore"):   # an infinite total is the simulator's to refuse
+            return np.cumsum(self.rates)
 
     @cached_property
     def cumulative_rates(self) -> tuple[float, ...]:

@@ -133,13 +133,13 @@ def emit(config: dict[str, Any], results: dict[str, Any], header: Sequence[str],
     ``config``.
 
     A table too large to hold as text comes lazily, as an iterator of blocks:
-    as ``blocks``, or as a value of ``results``, keys first and in the order
-    given, which becomes a JSON object of lists.  The JSON envelope, the CSV
-    preamble and header and the first ``_GROUP`` CSV rows are formatted
-    before ``out`` is opened, so a report of no more rows is formatted whole
-    first.  A lazy table's rows are formatted as they are written,
-    ``_GROUP`` lines or members at a time, so a failure partway through them
-    leaves the part written so far in ``out``.
+    as ``blocks``, or as a value of ``results``, keys first and then columns
+    of floats, which becomes a non-empty JSON object of lists.  The JSON
+    envelope, the CSV preamble and header and the first ``_GROUP`` CSV rows
+    are formatted before ``out`` is opened, so a report of no more rows is
+    formatted whole first.  A lazy table's rows are formatted as they are
+    written, ``_GROUP`` lines or members at a time, so a failure partway
+    through them leaves the part written so far in ``out``.
     """
     if fmt == "json":
         streamed = [key for key, value in results.items() if isinstance(value, Iterator)]
@@ -169,11 +169,7 @@ def _json_object(blocks: Iterator[_Block]) -> Iterator[str]:
     """Row blocks (keys, then one column per list item) as the JSON object of
     lists that :func:`render_json` writes for a value of ``results``."""
     members = chain.from_iterable(map(_json_members, blocks))
-    first = next(members, None)
-    if first is None:
-        yield "{}"
-        return
-    yield "{\n" + first[2:]   # the first member follows the brace, not a comma
+    yield "{\n" + next(members)[2:]   # the first member follows the brace, not a comma
     yield from _joined(members, "")
     yield "\n    }"
 
@@ -192,17 +188,14 @@ def _json_members(block: _Block) -> Iterator[str]:
 _NON_FINITE = {repr(x): json.dumps(json_ready(x)) for x in (math.inf, -math.inf, math.nan)}
 
 
-def _json_items(column: Sequence[Any]) -> Iterator[str]:
-    """A column's cells as ``json.dumps`` writes them after :func:`json_ready`:
-    a column of floats is one ``map(repr)``, whose texts are looked up in
-    ``_NON_FINITE`` when it holds a non-finite one; any other column goes
-    cell by cell."""
-    if {*map(type, column)} <= {float}:
-        if math.isfinite(sum(column)):
-            return map(repr, column)
-        keys, texts = tee(map(repr, column))
-        return map(_NON_FINITE.get, keys, texts)
-    return (json.dumps(json_ready(cell)) for cell in column)
+def _json_items(column: Sequence[float]) -> Iterator[str]:
+    """A column of floats as ``json.dumps`` writes it after :func:`json_ready`:
+    one ``map(repr)``, whose texts are looked up in ``_NON_FINITE`` when it
+    holds a non-finite one."""
+    if math.isfinite(sum(column)):
+        return map(repr, column)
+    keys, texts = tee(map(repr, column))
+    return map(_NON_FINITE.get, keys, texts)
 
 
 def _joined(items: Iterator[str], sep: str) -> Iterator[str]:

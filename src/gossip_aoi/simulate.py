@@ -77,10 +77,12 @@ class PendingReplicasError(RuntimeError):
 
 
 def _event_rate(net: GossipNetwork) -> float:
-    """Lambda, the rate of the superposed event clock; an error when it never rings."""
+    """Lambda, the rate of the superposed event clock; an error when it never rings or overflows."""
     total = net.total_rate
     if not total > 0.0:
         raise ValueError("network has no edges; the event clock never rings")
+    if total == math.inf:
+        raise OverflowError("the total edge rate Lambda overflows a float; rescale the rates")
     return total
 
 
@@ -94,6 +96,14 @@ def _check_budget(net: GossipNetwork, what: str, runs: int, horizon: float, lowe
             f"{what} would take about {events:.3g} events (Lambda = {total:g}, horizon = "
             f"{horizon:g}), above the budget of {EVENT_BUDGET:.0e}; lower {lower}"
         )
+
+
+def _check_horizon(horizon: float) -> None:
+    """The one horizon rule of both estimators: positive, then finite."""
+    if not horizon > 0.0:
+        raise ValueError(f"horizon must be positive, got {horizon}")
+    if horizon == math.inf:
+        raise ValueError(f"horizon must be finite, got {horizon}")
 
 
 def _trajectory(
@@ -225,10 +235,10 @@ def default_horizon(
 ) -> float:
     """Three times the worst pilot t_0 — the default replication horizon.
     The arguments are checked first, and the pilot stops at the first t_0
-    whose horizon the event budget refuses."""
+    whose horizon :func:`check_replication` refuses."""
     check_replication(net, k_max, replicas, None)
     return 3.0 * max(pilot_t0(net, subset, seed=seed,
-                              check=lambda t0: _check_replication_budget(net, replicas, 3.0 * t0)))
+                              check=lambda t0: check_replication(net, k_max, replicas, 3.0 * t0)))
 
 
 # ---- replication estimator ------------------------------------------------
@@ -329,14 +339,7 @@ def check_replication(net: GossipNetwork, k_max: int, replicas: int, horizon: fl
         raise ValueError(f"need at least 2 replicas, got {replicas}")
     if horizon is None:
         return
-    if not horizon > 0.0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
-    if horizon == math.inf:
-        raise ValueError(f"horizon must be finite, got {horizon}")
-    _check_replication_budget(net, replicas, horizon)
-
-
-def _check_replication_budget(net: GossipNetwork, replicas: int, horizon: float) -> None:
+    _check_horizon(horizon)
     _check_budget(net, f"replication of {replicas} replicas", replicas, horizon,
                   "the horizon or the replicas")
 
@@ -391,17 +394,13 @@ def check_timeavg(net: GossipNetwork, k_max: int, horizon: float, burn_in: float
     """Check the time-average arguments before any work.
 
     A burn-in of None, one still to be resolved by the pilot, checks only
-    that the horizon is positive.  A run over the event budget is refused.
+    the horizon.  A run over the event budget is refused.
     """
     montecarlo.check_order(k_max)
     if batches < 2:
         raise ValueError(f"need at least 2 batches, got {batches}")
-    if not math.isfinite(horizon):
-        raise ValueError(f"horizon must be finite, got {horizon}")
-    if burn_in is None:
-        if not horizon > 0.0:
-            raise ValueError(f"horizon must be positive, got {horizon}")
-    elif burn_in < 0 or not horizon > burn_in:
+    _check_horizon(horizon)
+    if burn_in is not None and not 0 <= burn_in < horizon:
         raise ValueError(f"need 0 <= burn_in < horizon, got burn_in={burn_in}, horizon={horizon}")
     _check_budget(net, "the time average", 1, horizon, "the horizon")
 
@@ -445,8 +444,11 @@ def estimate_moments_timeavg(
             row = sums[j]
             start = lo - held
             end = start + (cut - lo)
-            for i, p in enumerate(powers):
-                row[i] += (end ** p - start ** p) / p
+            try:
+                for i, p in enumerate(powers):
+                    row[i] += (end ** p - start ** p) / p
+            except OverflowError:   # a float power out of range: an infinite mean, refused below
+                row[i] = math.inf
             lo = cut
 
     rng = montecarlo.block_rng(seed, montecarlo.STREAM_TIMEAVG, 0)
@@ -465,10 +467,12 @@ def estimate_moments_timeavg(
         )
 
     batch_means = np.array(sums) / width
+    means = [float(col.mean()) for col in batch_means.T]
+    if math.inf in means:   # every age is finite: a float overflow
+        k = means.index(math.inf) + 1
+        raise OverflowError(f"time average v^{k} of subset {s} overflows a float; rescale the rates")
     estimates = []
-    for k in range(1, k_max + 1):
-        col = batch_means[:, k - 1]
-        mean = float(col.mean())
+    for k, (col, mean) in enumerate(zip(batch_means.T, means), start=1):
         se = float(col.std(ddof=1) / math.sqrt(batches))
         estimates.append(MomentEstimate(k=k, mean=mean, std_error=se, sample_count=batches))
     return estimates

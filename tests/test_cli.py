@@ -119,6 +119,29 @@ def test_solve_csv_table_skips_the_json_payload(capsys, line_path, monkeypatch):
     assert [row[0] for row in rows] == ["subset", "1", "2", "1,2"]
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_solve_walks_the_table_once_in_either_format(capsys, line_path, monkeypatch, fmt):
+    walks = []
+    csv_rows = MomentTable.csv_rows
+
+    def counted(self):
+        walks.append(self)
+        return csv_rows(self)
+
+    def refuse(self):
+        raise AssertionError("json_map called")
+
+    monkeypatch.setattr(MomentTable, "csv_rows", counted)
+    monkeypatch.setattr(MomentTable, "json_map", refuse)
+    assert cli.main(["solve", "--network", line_path, "--k", "1", "--format", fmt]) == 0
+    assert len(walks) == 1
+    out = capsys.readouterr().out
+    if fmt == "json":
+        assert json.loads(out)["results"]["table"] == {"1": [1.0], "2": [1.5], "1,2": [1.0]}
+    else:
+        assert out.split("\n")[1:] == ["subset,v1", "1,1.0", "2,1.5", '"1,2",1.0', ""]
+
+
 def test_solve_rejects_source_in_subset(capsys, line_path):
     code = cli.main(["solve", "--network", line_path, "--subset", "0,1"])
     assert code == 2
@@ -562,6 +585,81 @@ def test_simulate_rejects_its_arguments_before_the_pilot(capsys, line_path, monk
     monkeypatch.setattr(simulate, "pilot_t0", refuse)
     code = cli.main(["simulate", "--network", line_path, "--subset", "2", *option])
     assert code == 2
+    assert capsys.readouterr().err == f"gossip-aoi: error: {message}\n"
+
+
+@pytest.mark.parametrize("mode", ["replication", "timeavg"])
+def test_both_simulate_modes_check_a_nan_horizon_alike(capsys, line_path, monkeypatch, mode):
+    def refuse(*args, **kwargs):
+        raise AssertionError("simulate ran the pilot before checking its horizon")
+
+    monkeypatch.setattr(simulate, "pilot_t0", refuse)
+    code = cli.main(["simulate", "--network", line_path, "--subset", "2", "--mode", mode,
+                     "--horizon", "nan"])
+    assert code == 2
+    assert capsys.readouterr().err == "gossip-aoi: error: horizon must be positive, got nan\n"
+
+
+_PARALLEL_HUGE_DOC = ('{"nodes": 1, "edges": [{"from": 0, "to": 1, "rate": 1e308}, '
+                      '{"from": 0, "to": 1, "rate": 1e308}]}')
+_SPLIT_HUGE_DOC = ('{"nodes": 2, "edges": [{"from": 0, "to": 1, "rate": 1e308}, '
+                   '{"from": 0, "to": 2, "rate": 1e308}]}')
+_PARALLEL_OVERFLOW = "edge (0, 1): parallel rates sum past the float range"
+_LAMBDA_OVERFLOW = "the total edge rate Lambda overflows a float; rescale the rates"
+
+
+@pytest.mark.parametrize("doc, argv, message", [
+    (_PARALLEL_HUGE_DOC, ["solve", "--k", "2"], _PARALLEL_OVERFLOW),
+    (_PARALLEL_HUGE_DOC, ["compare", "--samples", "100", "--replicas", "100"], _PARALLEL_OVERFLOW),
+    (_SPLIT_HUGE_DOC, ["simulate", "--replicas", "100"], _LAMBDA_OVERFLOW),
+    (_SPLIT_HUGE_DOC, ["simulate", "--mode", "timeavg", "--horizon", "1"], _LAMBDA_OVERFLOW),
+    (_SPLIT_HUGE_DOC, ["compare", "--samples", "100", "--replicas", "100"], _LAMBDA_OVERFLOW),
+], ids=["parallel-solve", "parallel-compare", "lambda-replication", "lambda-timeavg",
+        "lambda-compare"])
+def test_a_rate_sum_past_the_float_range_is_refused_before_any_event(capsys, tmp_path, monkeypatch,
+                                                                      doc, argv, message):
+    def refuse(*cell):
+        raise AssertionError("an event was drawn at an infinite rate")
+
+    monkeypatch.setattr(montecarlo, "block_rng", refuse)
+    path = tmp_path / "huge.json"
+    path.write_text(doc)
+    name, *options = argv
+    assert cli.main([name, "--network", str(path), "--subset", "1", *options]) == 2
+    assert capsys.readouterr().err == f"gossip-aoi: error: {message}\n"
+
+
+def test_solve_and_fpp_accept_an_infinite_total_rate(capsys, tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text(_SPLIT_HUGE_DOC)
+    code, doc = run_json(capsys, ["solve", "--network", str(path), "--subset", "1"])
+    assert code == 0 and doc["results"]["moments"] == [{"k": 1, "value": 1e-308}]
+    code, doc = run_json(capsys, ["fpp", "--network", str(path), "--subset", "1",
+                                  "--samples", "1000"])
+    assert code == 0 and 0.0 < doc["results"]["estimates"][0]["mean"] < 1e-307
+
+
+_SLOW_DOC = '{"nodes": 1, "edges": [{"from": 0, "to": 1, "rate": 1e-15}]}'
+_SUBNORMAL_DOC = '{"nodes": 1, "edges": [{"from": 0, "to": 1, "rate": 1e-309}]}'
+
+
+@pytest.mark.parametrize("doc, argv, message", [
+    (_SLOW_DOC, ["fpp", "--k", "20", "--samples", "1000"],
+     "sample moment v^20 overflows a float; rescale the rates"),
+    (_SLOW_DOC, ["simulate", "--k", "20", "--replicas", "1000"],
+     "sample moment v^20 overflows a float; rescale the rates"),
+    # The integral of age^20 over a segment is out of range before v^20 is.
+    (_SLOW_DOC, ["simulate", "--k", "20", "--mode", "timeavg", "--horizon", "1e17"],
+     "time average v^19 of subset {1} overflows a float; rescale the rates"),
+    # Most weights -ln(1 - U) / 1e-309 overflow the float range.
+    (_SUBNORMAL_DOC, ["fpp", "--samples", "1000"],
+     "sample moment v^1 overflows a float; rescale the rates"),
+], ids=["fpp", "replication", "timeavg", "fpp-subnormal-rate"])
+def test_an_overflowed_sample_moment_is_an_error_not_inf(capsys, tmp_path, doc, argv, message):
+    path = tmp_path / "slow.json"
+    path.write_text(doc)
+    name, *options = argv
+    assert cli.main([name, "--network", str(path), "--subset", "1", *options]) == 2
     assert capsys.readouterr().err == f"gossip-aoi: error: {message}\n"
 
 

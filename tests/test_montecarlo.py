@@ -166,6 +166,13 @@ def test_single_observation_has_infinite_error():
     assert est.std_error == math.inf
 
 
+def test_an_overflowed_mean_is_an_error_and_an_overflowed_error_is_inf():
+    with pytest.raises(OverflowError, match=r"^sample moment v\^2 overflows a float; rescale the rates$"):
+        moments_from_power_sums(3, np.array([3.0, math.inf]), np.array([3.0, math.inf]))
+    est = moments_from_power_sums(3, np.array([3e200]), np.array([math.inf]))[0]
+    assert est.mean == 1e200 and not math.isfinite(est.std_error)
+
+
 def _halves(rng: np.random.Generator, size: int) -> list[np.ndarray]:
     """Three groups: every uniform, the ones below 1/2, and none."""
     x = rng.random(size)

@@ -78,6 +78,14 @@ def test_rejects_bad_rates():
         load_network(huge)
 
 
+def test_rejects_parallel_rates_that_sum_past_the_float_range():
+    with pytest.raises(NetworkConfigError, match=r"^edge \(0, 1\): parallel rates sum past the float range$"):
+        GossipNetwork(node_count=1, edges=(Edge(0, 1, 1e308), Edge(0, 1, 1e308)))
+    # Rates on distinct edges may still sum to inf: the simulator refuses that total.
+    net = GossipNetwork(node_count=2, edges=(Edge(0, 1, 1e308), Edge(0, 2, 1e308)))
+    assert net.rate_cumsum[-1] == math.inf
+
+
 def test_rejects_oversized_network():
     with pytest.raises(NetworkConfigError, match="62"):
         GossipNetwork(node_count=63, edges=(Edge(0, 1, 1.0),))
