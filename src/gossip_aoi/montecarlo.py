@@ -36,7 +36,9 @@ from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
-# Stream tags keep the independent consumers of one master seed apart.
+# Stream tags keep the independent consumers of one master seed apart.  The
+# time average takes two cells of STREAM_TIMEAVG: block 0 holds its event
+# gaps and block 1 its edge-pick uniforms.
 STREAM_FPP = 1
 STREAM_REPLICATION = 2
 STREAM_PILOT = 3

@@ -16,35 +16,42 @@ a replica block is one draw: it returns each subset's ages at the horizon,
 and the pipeline reduces them in block order; replicas the draw left out
 are the subset's ``pending`` count.
 
-The RNG stream fixes the report bytes.  Each event draws one
-``rng.exponential(1 / Lambda)`` gap and then one ``rng.random()`` uniform u,
-and picks the edge whose cumulative-rate interval holds u * Lambda: the
-first threshold above it, as ``np.searchsorted(side="right")`` gives, and
-the last edge when u * Lambda reaches Lambda.  The pilot and the
-time-average estimator run one scalar loop, ``_trajectory``, one call per
-trajectory, which draws that pair from the trajectory's own Generator; the
-replication kernel draws it as arrays, one entry per live replica.  A
-change to the order or the number of draws (chunked draws included), to the
-pick rule or to the order of the sums changes the reports.  The loop holds
-its state in plain lists, floats and one int mask, and writes the pick
-(one ``bisect_right``) and the delivery rule inline, so an event costs
-little more than its two draws.  The mask holds the subset members not yet
-source-informed: a member is informed by the first delivery from the source
-or of a positive timestamp, and the event that informs the last one gives
-the trajectory's t_0.  The pilot stops there; the time average runs to its
-horizon and gets the subset's newest timestamp one segment at a time, and a
-``trace`` callable gets each applied event as it happens, one CSV row.
+The RNG streams fix the report bytes.  Each event takes one exponential
+gap of mean 1 / Lambda and one uniform u, and picks the edge whose
+cumulative-rate interval holds u * Lambda: the first threshold above it, as
+``np.searchsorted(side="right")`` gives, and the last edge when u * Lambda
+reaches Lambda.  The time average draws its gaps from cell
+(seed, STREAM_TIMEAVG, 0) and its uniforms from cell (seed, STREAM_TIMEAVG, 1),
+``EVENT_BLOCK`` of each per numpy call, and sums its event times left to
+right, ``np.add.accumulate`` giving the same floats as ``now + gap``.
+Consecutive draws from one stream continue it, so no report depends on
+``EVENT_BLOCK``.  The pilot draws one (gap, uniform) pair per event, in that
+order, from its replica's one Generator, and so draws nothing past t_0; the
+replication kernel draws the pair as arrays, one entry per live replica.  A
+change to the streams, to the order or the number of draws, to the pick rule
+or to the order of the sums changes the reports.
 
-The replication kernel picks by the same rule without a per-key binary
-search (``_edge_picker``).  It splits [0, Lambda) into B = 4 x edges equal
-buckets, bucket(x) = min(int(x * scale), B - 1) with scale = B / Lambda, and
-applies that one float expression to the keys and to the thresholds
-``rate_cumsum[:-1]``.  Rounding is monotone, so a threshold in a lower bucket
-than x's lies below x and one in a higher bucket lies above it:
-guide[b], the number of thresholds in buckets below b, never overshoots the
-answer, and at most max-per-bucket steps ``idx += thresholds[idx] <= x`` (an
-``inf`` pad ends the walk) reach it exactly.  No ulp guard is needed.  The
-block's timestamps sit in one flat array, replica r's node v at
+The pilot and the time average feed their (time, sender, receiver) events to
+one loop, ``_trajectory``, one call per trajectory.  It holds its state in
+plain lists, floats and one int mask and writes the delivery rule inline, so
+an event costs little more than its draws.  The mask holds the subset
+members not yet source-informed: a member is informed by the first delivery
+from the source or of a positive timestamp, and the event that informs the
+last one gives the trajectory's t_0.  The pilot stops there; the time
+average runs to its horizon and gets the subset's newest timestamp one
+segment at a time, and a ``trace`` callable gets each applied event as it
+happens, one CSV row.
+
+The replication kernel and the time average pick by the same rule without
+a per-key binary search (``_edge_picker``).  It splits [0, Lambda) into
+B = 4 x edges equal buckets, bucket(x) = min(int(x * scale), B - 1) with
+scale = B / Lambda, and applies that one float expression to the keys and to
+the thresholds ``rate_cumsum[:-1]``.  Rounding is monotone, so a threshold in
+a lower bucket than x's lies below x and one in a higher bucket lies above
+it: guide[b], the number of thresholds in buckets below b, never overshoots
+the answer, and at most max-per-bucket steps ``idx += thresholds[idx] <= x``
+(an ``inf`` pad ends the walk) reach it exactly.  No ulp guard is needed.
+The replica block's timestamps sit in one flat array, replica r's node v at
 ``r * (nodes + 1) + v``, so each step's gather and max-scatter use 1-D
 indices on the live rows' offsets.
 """
@@ -56,8 +63,8 @@ import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import partial
-from itertools import repeat
-from typing import Any, Callable, Iterable, Sequence
+from itertools import islice
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -66,6 +73,7 @@ from .montecarlo import MomentEstimate
 from .network import GossipNetwork, NodeSubset
 
 PILOT_REPLICAS = 32
+EVENT_BLOCK = 4096   # time-average events per numpy draw; no report depends on it
 TIMEAVG_BATCHES = 30
 TRACE_HEADER = ("time", "from", "to", "new_timestamp")   # a time-average trace row
 PENDING_TOLERANCE = 0.01
@@ -109,9 +117,8 @@ def _check_horizon(horizon: float) -> None:
 def _trajectory(
     net: GossipNetwork,
     s: NodeSubset,
-    rng: np.random.Generator,
+    events: Iterable[tuple[float, int, int]],
     horizon: float = math.inf,
-    event_cap: int | None = None,
     until_t0: bool = False,
     segment: Callable[[float, float, float], Any] | None = None,
     trace: Callable[[tuple[float, int, int, float]], Any] | None = None,
@@ -119,35 +126,20 @@ def _trajectory(
     """Run one trajectory from all-zero timestamps; return its t_0, or None
     when some member of ``s`` was never source-informed.
 
-    Each event draws one (gap, uniform) pair and is applied, until a gap
-    reaches ``horizon``, ``event_cap`` events were applied or, with
-    ``until_t0``, the event that informs the last member was.
-    ``segment(a, b, held)`` gets each stretch [a, b) over which the newest
-    timestamp in ``s`` was ``held``, the last one ending at the horizon;
-    ``trace`` gets each applied event.
+    Each ``(time, sender, receiver)`` event is applied, until one reaches
+    ``horizon``, the events run out or, with ``until_t0``, the event that
+    informs the last member was.  ``segment(a, b, held)`` gets each stretch
+    [a, b) over which the newest timestamp in ``s`` was ``held``, the last
+    one ending at the horizon; ``trace`` gets each applied event.
     """
-    total = net.total_rate
-    mean_gap = 1.0 / total
-    cumulative = net.cumulative_rates
-    senders = [e.from_node for e in net.edges]
-    receivers = [e.to_node for e in net.edges]
-    # u * Lambda == Lambda bisects past the last threshold: pick the last edge.
-    senders.append(senders[-1])
-    receivers.append(receivers[-1])
-    exponential, random = rng.exponential, rng.random
     member = [segment is not None and v in s for v in range(net.node_count + 1)]
     ts = [0.0] * (net.node_count + 1)
     remaining = s.mask    # members not yet source-informed
     t0 = None
-    now = held = seg_start = 0.0
-    for _ in repeat(None) if event_cap is None else range(event_cap):
-        t_next = now + exponential(mean_gap)
-        idx = bisect_right(cumulative, random() * total)
-        if t_next >= horizon:
+    held = seg_start = 0.0
+    for now, u, v in events:
+        if now >= horizon:
             break
-        now = t_next
-        u = senders[idx]
-        v = receivers[idx]
         # The source sends the current time, any other node its held
         # timestamp; v keeps the newer of the two.
         sent = now if u == 0 else ts[u]
@@ -171,6 +163,25 @@ def _trajectory(
     if segment is not None:
         segment(seg_start, horizon, held)
     return t0
+
+
+def _scalar_events(net: GossipNetwork, rng: np.random.Generator) -> Iterator[tuple[float, int, int]]:
+    """The pilot's events: one (gap, uniform) pair per event from ``rng``,
+    drawn only when the event is asked for, and one ``bisect_right`` pick."""
+    total = net.total_rate
+    mean_gap = 1.0 / total
+    cumulative = net.cumulative_rates
+    senders = [e.from_node for e in net.edges]
+    receivers = [e.to_node for e in net.edges]
+    # u * Lambda == Lambda bisects past the last threshold: pick the last edge.
+    senders.append(senders[-1])
+    receivers.append(receivers[-1])
+    exponential, random = rng.exponential, rng.random
+    now = 0.0
+    while True:
+        now += exponential(mean_gap)
+        idx = bisect_right(cumulative, random() * total)
+        yield now, senders[idx], receivers[idx]
 
 
 # ---- pilot runs -----------------------------------------------------------
@@ -205,7 +216,7 @@ def pilot_t0(
     times = []
     for i in range(replicas):
         rng = montecarlo.block_rng(seed, montecarlo.STREAM_PILOT, i)
-        t0 = _trajectory(net, s, rng, event_cap=event_cap, until_t0=True)
+        t0 = _trajectory(net, s, islice(_scalar_events(net, rng), event_cap), until_t0=True)
         if t0 is None:
             raise PendingReplicasError(
                 f"pilot replica {i}: subset {s} still uninformed after {event_cap} events; "
@@ -262,7 +273,7 @@ class ReplicationResult:
 
 
 def _edge_picker(cum: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """The scalar loop's edge pick for arrays: map keys x = u * Lambda to edge indices.
+    """The pilot's edge pick for arrays: map keys x = u * Lambda to edge indices.
 
     Returns ``min(searchsorted(cum, x, side="right"), last)`` exactly, via a
     guide table over ``4 * edges`` equal buckets of [0, Lambda) and a few
@@ -291,6 +302,12 @@ def _edge_picker(cum: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     return pick
 
 
+def _edge_ends(net: GossipNetwork) -> tuple[np.ndarray, np.ndarray]:
+    """Each edge's sender and receiver, as index arrays."""
+    return (np.array([e.from_node for e in net.edges], dtype=np.intp),
+            np.array([e.to_node for e in net.edges], dtype=np.intp))
+
+
 def _replication_draw(
     net: GossipNetwork,
     subset_ids: tuple[tuple[int, ...], ...],
@@ -303,8 +320,7 @@ def _replication_draw(
     cum = net.rate_cumsum
     total = float(cum[-1])
     pick = _edge_picker(cum)
-    edge_from = np.array([e.from_node for e in net.edges], dtype=np.intp)
-    edge_to = np.array([e.to_node for e in net.edges], dtype=np.intp)
+    edge_from, edge_to = _edge_ends(net)
     from_source = edge_from == 0
     width = net.node_count + 1
 
@@ -405,6 +421,26 @@ def check_timeavg(net: GossipNetwork, k_max: int, horizon: float, burn_in: float
     _check_budget(net, "the time average", 1, horizon, "the horizon")
 
 
+def _block_events(net: GossipNetwork, seed: int) -> Iterator[tuple[float, int, int]]:
+    """The time average's events: gaps from cell (seed, STREAM_TIMEAVG, 0)
+    and edge-pick uniforms from cell (seed, STREAM_TIMEAVG, 1), drawn
+    ``EVENT_BLOCK`` at a time."""
+    gaps = montecarlo.block_rng(seed, montecarlo.STREAM_TIMEAVG, 0)
+    picks = montecarlo.block_rng(seed, montecarlo.STREAM_TIMEAVG, 1)
+    cum = net.rate_cumsum
+    total = float(cum[-1])
+    pick = _edge_picker(cum)
+    senders, receivers = _edge_ends(net)
+    now = 0.0
+    while True:
+        times = gaps.exponential(1.0 / total, EVENT_BLOCK)
+        times[0] += now
+        np.add.accumulate(times, out=times)
+        idx = pick(picks.random(EVENT_BLOCK) * total)
+        yield from zip(times.tolist(), senders.take(idx).tolist(), receivers.take(idx).tolist())
+        now = float(times[-1])
+
+
 def estimate_moments_timeavg(
     net: GossipNetwork,
     subset: NodeSubset | Iterable[int],
@@ -451,8 +487,7 @@ def estimate_moments_timeavg(
                 row[i] = math.inf
             lo = cut
 
-    rng = montecarlo.block_rng(seed, montecarlo.STREAM_TIMEAVG, 0)
-    t0 = _trajectory(net, s, rng, horizon, segment=accumulate, trace=trace)
+    t0 = _trajectory(net, s, _block_events(net, seed), horizon, segment=accumulate, trace=trace)
     if t0 is None:
         warnings.warn(
             f"subset {s} never became source-informed within the horizon {horizon}",
@@ -466,13 +501,15 @@ def estimate_moments_timeavg(
             stacklevel=2,
         )
 
-    batch_means = np.array(sums) / width
-    means = [float(col.mean()) for col in batch_means.T]
-    if math.inf in means:   # every age is finite: a float overflow
-        k = means.index(math.inf) + 1
-        raise OverflowError(f"time average v^{k} of subset {s} overflows a float; rescale the rates")
-    estimates = []
-    for k, (col, mean) in enumerate(zip(batch_means.T, means), start=1):
-        se = float(col.std(ddof=1) / math.sqrt(batches))
-        estimates.append(MomentEstimate(k=k, mean=mean, std_error=se, sample_count=batches))
-    return estimates
+    batch_means = (np.array(sums) / width).T
+    # An overflow is refused when it reaches a mean; squares of finite batch
+    # means that overflow give an infinite SE, which a compare row fails.
+    with np.errstate(over="ignore"):
+        means = [float(col.mean()) for col in batch_means]
+        if math.inf in means:   # every age is finite: a float overflow
+            k = means.index(math.inf) + 1
+            raise OverflowError(f"time average v^{k} of subset {s} overflows a float; "
+                                "rescale the rates")
+        ses = [float(col.std(ddof=1) / math.sqrt(batches)) for col in batch_means]
+    return [MomentEstimate(k=k, mean=mean, std_error=se, sample_count=batches)
+            for k, (mean, se) in enumerate(zip(means, ses), start=1)]

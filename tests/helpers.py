@@ -7,6 +7,7 @@ import io
 import json
 import math
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
@@ -480,14 +481,16 @@ def detect_t0(state: SimState, subset: NodeSubset | Iterable[int]) -> float | No
     return max(times)
 
 
-def _draw(state: SimState, net: GossipNetwork, rng: np.random.Generator) -> tuple[float, int]:
-    """Next event: (absolute time, edge index)."""
+def _draw(state: SimState, net: GossipNetwork, rng: np.random.Generator,
+          picks: np.random.Generator | None = None) -> tuple[float, int]:
+    """Next event: (absolute time, edge index), its gap from ``rng`` and its
+    uniform from ``picks`` (``rng`` again when None)."""
     total = net.total_rate
     if not total > 0.0:
         raise ValueError("network has no edges; the event clock never rings")
     t_next = state.now + rng.exponential(1.0 / total)
-    idx = int(np.searchsorted(net.rate_cumsum, rng.random() * total, side="right"))
-    return t_next, min(idx, len(net.edges) - 1)
+    u = (rng if picks is None else picks).random()
+    return t_next, min(bisect_right(net.cumulative_rates, u * total), len(net.edges) - 1)
 
 
 def _apply(state: SimState, net: GossipNetwork, edge_index: int, time: float) -> SimEvent:
@@ -586,7 +589,9 @@ def reference_timeavg(
     """Time-averaged raw age moments over [burn_in, horizon] of one trajectory,
     one ``_draw``/``_apply`` pair and numpy scalar sums per event; the
     reference for ``estimate_moments_timeavg``, whose trace rows it reports
-    the same way."""
+    the same way.  Each event draws one scalar gap from cell
+    (seed, STREAM_TIMEAVG, 0) and one scalar uniform from cell
+    (seed, STREAM_TIMEAVG, 1)."""
     montecarlo.check_order(k_max)
     montecarlo.check_seed(seed)
     s = net.check_subset(subset)
@@ -612,12 +617,13 @@ def reference_timeavg(
                 sums[j, k - 1] += age_power_integral(lo - held, cut - lo, k)
             lo = cut
 
-    rng = montecarlo.block_rng(seed, montecarlo.STREAM_TIMEAVG, 0)
+    gaps = montecarlo.block_rng(seed, montecarlo.STREAM_TIMEAVG, 0)
+    picks = montecarlo.block_rng(seed, montecarlo.STREAM_TIMEAVG, 1)
     state = new_state(net)
     held = 0.0        # max timestamp over the subset, constant between events
     seg_start = 0.0
     while True:
-        t_next, idx = _draw(state, net, rng)
+        t_next, idx = _draw(state, net, gaps, picks)
         if t_next >= horizon:
             accumulate(seg_start, horizon, held)
             state.now = horizon

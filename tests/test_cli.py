@@ -7,8 +7,10 @@ import hashlib
 import io
 import json
 import math
+import re
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -32,20 +34,22 @@ GOLDEN_DOC = (
     '{"from": 1, "to": 2, "rate": 2.0}, {"from": 2, "to": 3, "rate": 1.5}, '
     '{"from": 3, "to": 1, "rate": 0.7}]}'
 )
-# Reports on GOLDEN_DOC at seed 12.  Every event draws one exponential gap
-# and then one uniform edge pick from its Generator, in that order; these
-# bytes pin that contract, so a change to how the stream is consumed
-# (chunked draws, another pick rule, another summation) fails here.  Both
-# default rules run the pilot, whose scalar loop draws like the time
-# average's.  The fpp and lattice reports span two sample blocks, so they
-# also pin the block-order reduction of the Monte-Carlo pipeline; compare
-# runs all three routes.  The solve tables and the solve of subset {2} on
-# LONELY_DOC pin how an infinite moment (and a zero-rate subset) is written
-# in either format.
+# Reports on GOLDEN_DOC at seed 12.  Every event takes one exponential gap
+# and one uniform edge pick; these bytes pin how each route draws them, so a
+# change to how a stream is consumed (another cell, another order, another
+# pick rule, another summation) fails here.  The time average draws its gaps
+# and its uniforms in blocks from two cells of its own, and its bytes do not
+# depend on the block size; the pilot, which both default rules run, draws
+# one (gap, uniform) pair per event from its replica's one Generator, so the
+# two do not draw alike.  The fpp and lattice reports span two sample blocks,
+# so they also pin the block-order reduction of the Monte-Carlo pipeline;
+# compare runs all three routes.  The solve tables and the solve of subset
+# {2} on LONELY_DOC pin how an infinite moment (and a zero-rate subset) is
+# written in either format.
 GOLDEN_SHA256 = {
-    "timeavg.json": "8900064eefc9cfba6c1767aee7dac5a13cd04255cf4c3dc521faf780ea3d810c",
-    "timeavg.csv": "7ce591fde0f9f64688fc354c5c7915262d4e226c3f94516b8a79f70c919d9cd0",
-    "trace.csv": "b27591fec5b0dabe12a44024127bdb121eee7d15a9526d9981efb88be2655e78",
+    "timeavg.json": "6382bcb9a7c648d2f9f04e69c7f7cb5be219b768cae704948bb455115d1a4f4e",
+    "timeavg.csv": "78b46b1595f3c77be5eb71f83075d720ca2f06df6c8493e5bf3e0307460ec3c5",
+    "trace.csv": "016c58189e43c717bd919752fa261041b7fb389952567768a45d70b1a5b6a7dd",
     "replication.json": "fd7ad5acb7b73b47d717d834d31b6cc9ce4fe6b60dd5dae28eec5d9947f28172",
     "fpp.json": "4e356e65333be27f8fadaecdc01a87d1282476e49ba364c88ab54c0a1d00137c",
     "lattice.json": "f9860f154a9b4794f0b73c71fd314d959fa715eaaa4231e8429b1d8c54e4573e",
@@ -438,6 +442,12 @@ GOLDEN_RUNS = {
     "table": ["solve", "--network", "lonely.json", "--k", "3", "--seed", "12"],
     "solve": ["solve", "--network", "lonely.json", "--k", "3", "--seed", "12", "--subset", "2"],
 }
+_GOLDEN_TIMEAVG = ["simulate", *GOLDEN_NET, "--mode", "timeavg", "--horizon", "400"]
+# The golden time-average reports, the only ones that draw events in blocks.
+GOLDEN_TIMEAVG_RUNS = (
+    _GOLDEN_TIMEAVG + ["--trace", "trace.csv", "--out", "timeavg.json"],
+    _GOLDEN_TIMEAVG + ["--burn-in", "5", "--format", "csv", "--out", "timeavg.csv"],
+)
 
 
 @pytest.fixture
@@ -449,9 +459,8 @@ def golden_dir(tmp_path, monkeypatch):
 
 
 def test_simulate_reports_keep_their_golden_bytes(golden_dir):
-    timeavg = ["simulate", *GOLDEN_NET, "--mode", "timeavg", "--horizon", "400"]
-    assert cli.main(timeavg + ["--trace", "trace.csv", "--out", "timeavg.json"]) == 0
-    assert cli.main(timeavg + ["--burn-in", "5", "--format", "csv", "--out", "timeavg.csv"]) == 0
+    for argv in GOLDEN_TIMEAVG_RUNS:
+        assert cli.main(argv) == 0
     for name, argv in GOLDEN_RUNS.items():
         assert cli.main(argv + ["--out", f"{name}.json"]) == 0
         assert cli.main(argv + ["--format", "csv", "--out", f"{name}.csv"]) == 0
@@ -474,6 +483,18 @@ def test_passage_reports_do_not_depend_on_the_tile_size(golden_dir, monkeypatch,
             assert cli.main(argv) == 0
             digest = hashlib.sha256((golden_dir / name).read_bytes()).hexdigest()
             assert digest == GOLDEN_SHA256[name], (name, workers)
+
+
+@pytest.mark.parametrize("block", [1, 7, simulate.EVENT_BLOCK + 1])
+def test_timeavg_reports_do_not_depend_on_the_event_block(golden_dir, monkeypatch, block):
+    # 1 and 7 draw the golden trajectory's events in many blocks, 7 with a
+    # ragged last one; the third draws them all in one block.
+    monkeypatch.setattr(simulate, "EVENT_BLOCK", block)
+    for argv in GOLDEN_TIMEAVG_RUNS:
+        assert cli.main(argv) == 0
+    for name in ("timeavg.json", "timeavg.csv", "trace.csv"):
+        digest = hashlib.sha256((golden_dir / name).read_bytes()).hexdigest()
+        assert digest == GOLDEN_SHA256[name], name
 
 
 def test_lattice_reports_exact_and_mc_values(capsys):
@@ -661,6 +682,22 @@ def test_an_overflowed_sample_moment_is_an_error_not_inf(capsys, tmp_path, doc, 
     name, *options = argv
     assert cli.main([name, "--network", str(path), "--subset", "1", *options]) == 2
     assert capsys.readouterr().err == f"gossip-aoi: error: {message}\n"
+
+
+def test_an_overflowed_timeavg_standard_error_prints_no_warning(capsys, tmp_path):
+    # The squares of the v^17 batch means overflow, while their mean does not.
+    path = tmp_path / "slow.json"
+    path.write_text(_SLOW_DOC)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(["simulate", "--network", str(path), "--subset", "1", "--k", "17",
+                         "--mode", "timeavg", "--horizon", "1e17"])
+    assert code == 0
+    assert [str(w.message) for w in caught] == []
+    captured = capsys.readouterr()
+    assert re.fullmatch(r"gossip-aoi: simulate finished in \d+\.\d{3}s\n", captured.err)
+    estimate = json.loads(captured.out)["results"]["estimates"][16]
+    assert estimate["std_error"] == "inf" and math.isfinite(estimate["mean"])
 
 
 _REPLICATION_OVER_BUDGET = (

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from gossip_aoi import (
     solve_moments,
 )
 from gossip_aoi.simulate import (
+    EVENT_BLOCK,
     _edge_picker,
     _replication_draw,
     check_pending,
@@ -47,24 +49,32 @@ from helpers import (
 
 class ScriptedRng:
     """Generator stand-in: the scripted (gap, uniform) pairs first, then the
-    draws of a real Generator for ``cell``; ``log`` holds each draw's
-    (name, value) in order."""
+    draws of a real Generator for ``cell``; ``log`` holds each call's
+    (name, value), a float or, for a call with a ``size``, an array.  A
+    time-average cell draws only gaps or only uniforms, so the scripted gaps
+    reach its gap cell and the scripted uniforms its pick cell."""
 
     def __init__(self, pairs: list[tuple[float, float]], cell: tuple[int, ...]):
+        self.cell = cell
         self.gaps = [gap for gap, _ in pairs][::-1]
         self.uniforms = [u for _, u in pairs][::-1]
         self.rest = np.random.default_rng(list(cell))
-        self.log: list[tuple[str, float]] = []
+        self.log: list[tuple[str, float | np.ndarray]] = []
 
-    def exponential(self, scale: float) -> float:
-        gap = self.gaps.pop() if self.gaps else float(self.rest.exponential(scale))
-        self.log.append(("exponential", gap))
-        return gap
+    def _draw(self, name: str, scripted: list[float], real, size: int | None):
+        if size is None:
+            value = scripted.pop() if scripted else float(real())
+        else:
+            head = [scripted.pop() for _ in range(min(size, len(scripted)))]
+            value = np.concatenate([head, real(size - len(head))])
+        self.log.append((name, value if size is None else value.copy()))   # the caller may write it
+        return value
 
-    def random(self) -> float:
-        u = self.uniforms.pop() if self.uniforms else float(self.rest.random())
-        self.log.append(("random", u))
-        return u
+    def exponential(self, scale: float, size: int | None = None):
+        return self._draw("exponential", self.gaps, partial(self.rest.exponential, scale), size)
+
+    def random(self, size: int | None = None):
+        return self._draw("random", self.uniforms, self.rest.random, size)
 
 
 def _script(monkeypatch, pairs: list[tuple[float, float]]) -> list[ScriptedRng]:
@@ -125,16 +135,9 @@ def test_zero_gaps_inform_at_time_zero(monkeypatch):
         assert bool(ours[2]) == (subset != [1])   # only node 1 is informed at 0.0
 
 
-def test_each_event_draws_one_gap_then_one_uniform(monkeypatch):
+def test_each_pilot_event_draws_one_gap_then_one_uniform(monkeypatch):
     net = line_network(1.0, 2.0)
     made = _script(monkeypatch, [])
-    trace: list = []
-    estimate_moments_timeavg(net, [2], 1, 40.0, 10.0, seed=5, trace=trace.append)
-    # One pair per applied event, and one final pair whose gap reaches the horizon.
-    [rng] = made
-    assert [name for name, _ in rng.log] == ["exponential", "random"] * (len(trace) + 1)
-
-    made.clear()
     times = pilot_t0(net, [2], replicas=4, seed=5)
     assert len(made) == 4
     for t0, rng in zip(times, made):
@@ -150,6 +153,23 @@ def test_each_event_draws_one_gap_then_one_uniform(monkeypatch):
     with pytest.raises(PendingReplicasError):
         pilot_t0(net, [2], replicas=1, seed=5, event_cap=1)
     assert [name for name, _ in made[0].log] == ["exponential", "random"]
+
+
+def test_timeavg_draws_its_events_in_blocks_from_two_cells(monkeypatch):
+    net = line_network(1.0, 2.0)
+    made = _script(monkeypatch, [])
+    horizon = 2.5 * EVENT_BLOCK / net.total_rate    # three blocks of events
+    estimate_moments_timeavg(net, [2], 1, horizon, 10.0, seed=5)
+    gaps, picks = made
+    assert (gaps.cell, picks.cell) == ((5, montecarlo.STREAM_TIMEAVG, 0),
+                                       (5, montecarlo.STREAM_TIMEAVG, 1))
+    assert {name for name, _ in gaps.log} == {"exponential"}
+    assert {name for name, _ in picks.log} == {"random"}
+    assert {len(values) for _, values in gaps.log + picks.log} == {EVENT_BLOCK}
+    assert len(gaps.log) == len(picks.log) == 3
+    # The last block holds the first event time at or past the horizon.
+    times = np.add.accumulate(np.concatenate([values for _, values in gaps.log]))
+    assert times[-EVENT_BLOCK - 1] < horizon <= times[-1]
 
 
 def test_simulators_require_a_ringing_clock():
@@ -381,11 +401,11 @@ class FixedDrawRng:
     def __init__(self, u: float):
         self.u = u
 
-    def exponential(self, scale: float) -> float:
-        return scale
+    def exponential(self, scale: float, size: int | None = None):
+        return scale if size is None else np.full(size, scale)
 
-    def random(self) -> float:
-        return self.u
+    def random(self, size: int | None = None):
+        return self.u if size is None else np.full(size, self.u)
 
 
 @pytest.mark.parametrize("u, picked", [(0.25, 1), (0.5, 2), (1.0 - 2.0**-53, 2), (1.0, 2)])
