@@ -209,7 +209,7 @@ def _cmd_simulate(args: argparse.Namespace) -> _Report:
         simulate.check_timeavg(net, args.k, args.horizon, args.burn_in)
         run = partial(simulate.estimate_moments_timeavg, net, subset, args.k, args.horizon,
                       args.burn_in, seed=args.seed)
-        if args.trace:
+        if args.trace is not None:
             with open(args.trace, "w", encoding="utf-8", newline="") as fh:
                 writer = reporting.csv_writer(fh)
                 writer.writerow(simulate.TRACE_HEADER)

@@ -110,10 +110,13 @@ def write_text(pieces: Iterable[str], out: str | None) -> None:
 
 def check_writable(path: str) -> None:
     """Raise the ``OSError`` that opening ``path`` to write it would give
-    when its directory is missing or not writable, and touch no file, so a
-    command can refuse its output path before it does any work."""
+    when it is empty or a directory, or its directory is missing or not
+    writable, and touch no file, so a command can refuse its output path
+    before it does any work."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     directory = os.path.dirname(path) or "."
-    if not os.path.isdir(directory):
+    if not path or not os.path.isdir(directory):
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     if not os.access(directory, os.W_OK):
         raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)

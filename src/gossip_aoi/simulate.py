@@ -32,15 +32,18 @@ change to the streams, to the order or the number of draws, to the pick rule
 or to the order of the sums changes the reports.
 
 The pilot and the time average feed their (time, sender, receiver) events to
-one loop, ``_trajectory``, one call per trajectory.  It holds its state in
-plain lists, floats and one int mask and writes the delivery rule inline, so
-an event costs little more than its draws.  The mask holds the subset
-members not yet source-informed: a member is informed by the first delivery
-from the source or of a positive timestamp, and the event that informs the
-last one gives the trajectory's t_0.  The pilot stops there; the time
-average runs to its horizon and gets the subset's newest timestamp one
-segment at a time, and a ``trace`` callable gets each applied event as it
-happens, one CSV row.
+one loop, ``_trajectory``, one call per trajectory.  The pilot's come from a
+generator, one pair of draws per event; the time average's come from
+``chain.from_iterable`` over one ``zip`` of three lists per block, so no
+Python frame runs per event, and a block is drawn only once the one before
+it is used up.  ``_trajectory`` holds its state in plain lists, floats and
+one int mask and writes the delivery rule inline, so an event costs little
+more than its draws.  The mask holds the subset members not yet
+source-informed: a member is informed by the first delivery from the source
+or of a positive timestamp, and the event that informs the last one gives
+the trajectory's t_0.  The pilot stops there; the time average runs to its
+horizon and gets the subset's newest timestamp one segment at a time, and a
+``trace`` callable gets each applied event as it happens, one CSV row.
 
 The replication kernel and the time average pick by the same rule without
 a per-key binary search (``_edge_picker``).  It splits [0, Lambda) into
@@ -63,7 +66,7 @@ import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import partial
-from itertools import islice
+from itertools import chain, islice
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -421,10 +424,11 @@ def check_timeavg(net: GossipNetwork, k_max: int, horizon: float, burn_in: float
     _check_budget(net, "the time average", 1, horizon, "the horizon")
 
 
-def _block_events(net: GossipNetwork, seed: int) -> Iterator[tuple[float, int, int]]:
-    """The time average's events: gaps from cell (seed, STREAM_TIMEAVG, 0)
-    and edge-pick uniforms from cell (seed, STREAM_TIMEAVG, 1), drawn
-    ``EVENT_BLOCK`` at a time."""
+def _block_events(net: GossipNetwork, seed: int) -> Iterator[Iterator[tuple[float, int, int]]]:
+    """The time average's events, one block of ``EVENT_BLOCK`` at a time:
+    gaps from cell (seed, STREAM_TIMEAVG, 0) and edge-pick uniforms from
+    cell (seed, STREAM_TIMEAVG, 1).  A block is drawn when the one before
+    it has been used up."""
     gaps = montecarlo.block_rng(seed, montecarlo.STREAM_TIMEAVG, 0)
     picks = montecarlo.block_rng(seed, montecarlo.STREAM_TIMEAVG, 1)
     cum = net.rate_cumsum
@@ -437,7 +441,7 @@ def _block_events(net: GossipNetwork, seed: int) -> Iterator[tuple[float, int, i
         times[0] += now
         np.add.accumulate(times, out=times)
         idx = pick(picks.random(EVENT_BLOCK) * total)
-        yield from zip(times.tolist(), senders.take(idx).tolist(), receivers.take(idx).tolist())
+        yield zip(times.tolist(), senders.take(idx).tolist(), receivers.take(idx).tolist())
         now = float(times[-1])
 
 
@@ -464,30 +468,37 @@ def estimate_moments_timeavg(
     s = net.check_subset(subset)
 
     width = (horizon - burn_in) / batches
+    ends = [burn_in + (j + 1) * width for j in range(batches)]   # each batch window's end
+    last = batches - 1
     sums = [[0.0] * k_max for _ in range(batches)]   # Python floats: the same adds as float64
-    powers = range(2, k_max + 2)
+    powers = tuple(enumerate(range(2, k_max + 2)))
 
     def accumulate(a: float, b: float, held: float) -> None:
         # The age runs from start to end over [lo, cut): add the integral
         # of age^k, (end^(k+1) - start^(k+1)) / (k+1), for each order k.
-        lo = max(a, burn_in)
-        hi = min(b, horizon)
+        # The conditionals are max(a, burn_in), min(b, horizon) and
+        # min(j, last), and pick the same operand on a tie (so -0.0 stays).
+        lo = burn_in if burn_in > a else a
+        hi = horizon if horizon < b else b
         while lo < hi:
-            j = min(int((lo - burn_in) / width), batches - 1)
-            cut = min(hi, burn_in + (j + 1) * width)
-            if cut <= lo:
+            j = int((lo - burn_in) / width)
+            if j > last:
+                j = last
+            cut = ends[j]
+            if not lo < cut < hi:   # min(hi, cut), and hi when that is not past lo
                 cut = hi
             row = sums[j]
             start = lo - held
             end = start + (cut - lo)
             try:
-                for i, p in enumerate(powers):
+                for i, p in powers:
                     row[i] += (end ** p - start ** p) / p
             except OverflowError:   # a float power out of range: an infinite mean, refused below
                 row[i] = math.inf
             lo = cut
 
-    t0 = _trajectory(net, s, _block_events(net, seed), horizon, segment=accumulate, trace=trace)
+    events = chain.from_iterable(_block_events(net, seed))   # no Python frame per event
+    t0 = _trajectory(net, s, events, horizon, segment=accumulate, trace=trace)
     if t0 is None:
         warnings.warn(
             f"subset {s} never became source-informed within the horizon {horizon}",

@@ -224,6 +224,63 @@ def test_a_report_in_a_read_only_directory_is_refused_and_an_old_one_kept(capsys
     assert out.read_text() == "kept\n"
 
 
+_EVERY_COMMAND = {
+    "compare": ["compare", "--subset", "2", "--samples", "2000", "--replicas", "500"],
+    "replication": ["simulate", "--subset", "2", "--replicas", "500"],
+    "timeavg": ["simulate", "--subset", "2", "--mode", "timeavg", "--horizon", "50"],
+    "fpp": ["fpp", "--subset", "2", "--samples", "2000"],
+    "solve": ["solve", "--subset", "2"],
+    "table": ["solve"],
+    "lattice": ["lattice", "--d", "2", "--ell", "2", "--samples", "2000"],
+}
+
+
+def _refuse_any_work(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the output path check")
+
+    for module, name in ((montecarlo, "sample_moments"), (simulate, "pilot_t0"),
+                         (simulate, "estimate_moments_timeavg"), (moments, "solve_moments"),
+                         (moments.MomentSolver, "solve"), (moments.MomentSolver, "solve_all"),
+                         (lattice, "time_constant_estimate")):
+        monkeypatch.setattr(module, name, refuse)
+
+
+def _unopenable(tmp_path, target):
+    """An output path that ``open(path, "w")`` refuses, and the error it gives."""
+    if target == "directory":
+        path = tmp_path / "reports"
+        path.mkdir()
+        return str(path), f"[Errno 21] Is a directory: '{path}'"
+    return "", "[Errno 2] No such file or directory: ''"
+
+
+@pytest.mark.parametrize("target", ["directory", "empty"])
+@pytest.mark.parametrize("command", list(_EVERY_COMMAND))
+def test_a_directory_or_empty_report_path_is_refused_before_any_work(capsys, line_path, tmp_path,
+                                                                     monkeypatch, command, target):
+    _refuse_any_work(monkeypatch)
+    out, error = _unopenable(tmp_path, target)
+    before = sorted(tmp_path.rglob("*"))
+    argv = _EVERY_COMMAND[command]
+    network = [] if command == "lattice" else ["--network", line_path]
+    assert cli.main([*argv, *network, "--out", out]) == 2
+    assert capsys.readouterr().err == f"gossip-aoi: error: cannot write output: {error}\n"
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("target", ["directory", "empty"])
+def test_a_directory_or_empty_trace_path_is_refused_before_any_work(capsys, line_path, tmp_path,
+                                                                    monkeypatch, target):
+    _refuse_any_work(monkeypatch)
+    trace, error = _unopenable(tmp_path, target)
+    before = sorted(tmp_path.rglob("*"))
+    # No --burn-in: the pilot behind the default burn-in is work, too.
+    assert cli.main([*_EVERY_COMMAND["timeavg"], "--network", line_path, "--trace", trace]) == 2
+    assert capsys.readouterr().err == f"gossip-aoi: error: cannot write output: {error}\n"
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_z_score_of_a_non_finite_standard_error_is_nan():
     for se in (math.inf, math.nan):
         assert math.isnan(cli._z_score(1.0, montecarlo.MomentEstimate(1, 1.0, se, 10)))

@@ -395,6 +395,53 @@ def test_timeavg_is_bitwise_the_reference_loop():
     assert seen == {"subset", "burn-in"}   # "never informed" and "burn-in before t_0"
 
 
+def _batch_edge_on(start: float, times: list[float], inside: bool) -> tuple[float, int]:
+    """The first (horizon, batches) found whose window edge
+    burn_in + (j + 1) * width, with the burn-in at ``start``, is exactly one
+    of ``times``; with ``inside``, int((edge - burn_in) / width) rounds down
+    to j, so the estimator's window index puts the edge inside the window it
+    ends."""
+    for t in times:
+        for batches in range(2, 31):
+            for j in range(batches - 1):
+                horizon = start + (t - start) * batches / (j + 1)
+                width = (horizon - start) / batches
+                if start + (j + 1) * width == t and (int((t - start) / width) == j) == inside:
+                    return horizon, batches
+    raise AssertionError("no batch edge lands on an event time")
+
+
+@pytest.mark.parametrize("k_max", [1, 8])
+def test_timeavg_ties_at_the_burn_in_the_horizon_and_a_batch_edge_are_the_reference(k_max):
+    net = random_network(np.random.default_rng(71), 5, reachable=True)
+    subset, seed = [2, 4], 9
+    # Event times do not depend on the horizon or the burn-in: read them
+    # off one traced run, with the times at which a segment of the subset starts.
+    _, trace, _ = _timeavg_outcome(estimate_moments_timeavg, net, subset, 1,
+                                   2000.0 / net.total_rate, 0.0, seed, 2)
+    times = [row[0] for row in trace]
+    starts, held = [], 0.0
+    for time, _, to, new in trace:
+        if to in subset and new > held:
+            starts.append(time)
+            held = new
+    assert len(starts) > 20
+    later = [t for t in times if t > starts[10]]
+    cases = [
+        (starts[10], later[500], 30),     # a segment starts at the burn-in; an event at the horizon
+        (starts[10], starts[20], 7),      # ... and a segment starts at the horizon
+        (-0.0, later[100], 2),            # a burn-in of -0.0 ties the first segment's start, 0.0
+    ]
+    # A segment starts on a window edge, which the index puts in either window.
+    for inside in (False, True):
+        cases.append((starts[10], *_batch_edge_on(starts[10], starts[11:], inside)))
+    for burn_in, horizon, batches in cases:
+        args = (net, subset, k_max, horizon, burn_in, seed, batches)
+        ours = _timeavg_outcome(estimate_moments_timeavg, *args)
+        assert not isinstance(ours[0], str), ours[0]
+        assert ours == _timeavg_outcome(reference_timeavg, *args), (burn_in, horizon, batches)
+
+
 class FixedDrawRng:
     """Generator stand-in: every gap is the mean gap, every uniform is ``u``."""
 
